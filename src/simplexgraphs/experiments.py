@@ -102,11 +102,13 @@ class ExperimentConfig:
         elif self.p_mode == "explicit":
             if not self.p_values:
                 raise ConfigError("explicit p schedule needs at least one value")
-            if any(p < 0 for p in self.p_values):
-                raise ConfigError("thresholds must be non-negative")
+            if not all(0 <= p < math.inf for p in self.p_values):
+                raise ConfigError("thresholds must be finite and non-negative")
         elif self.p_mode == "clogn":
             if not self.c_values:
                 raise ConfigError("clogn schedule needs a c list")
+            if not all(math.isfinite(c) for c in self.c_values):
+                raise ConfigError("clogn schedule needs finite c values")
             if any(math.log(self.n) + c <= 0 for c in self.c_values):
                 raise ConfigError("clogn schedule produced a non-positive threshold")
         elif self.p_mode == "p0eps":

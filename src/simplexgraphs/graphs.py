@@ -1,10 +1,11 @@
 """Deterministic graph predicates over threshold graphs.
 
 Connectivity and component structure run on a union-find partition; diameter
-does a BFS from every vertex over a bit-packed dense adjacency (cheap at the
-n <= ~5000 scale the experiments use); the perfect-matching check works across
-the fixed vertex split [0, n/2) vs [n/2, n) with augmenting paths; the
-Hamilton-cycle decision is exact backtracking with pruning, capped at n=24.
+runs a bit-parallel BFS from all sources at once (one bit per source and
+vertex, a few numpy calls over the edge list per BFS level); the
+perfect-matching check works across the fixed vertex split [0, n/2) vs
+[n/2, n) with augmenting paths; the Hamilton-cycle decision is exact
+backtracking with pruning, capped at n=24.
 """
 
 from __future__ import annotations
@@ -100,27 +101,57 @@ def is_connected(g: ThresholdGraph) -> bool:
     return bool((labels == 0).all())
 
 
+# Byte budget of one gather of frontier words over the edge list; it sets how
+# many sources one block of the all-sources BFS serves.
+_GATHER_BYTES = 1 << 22
+
+
 def diameter(g: ThresholdGraph) -> int | float:
-    """Longest shortest path; math.inf when disconnected."""
-    n = g.n
-    bits = g.packed_adjacency()
-    ecc_max = 0
-    for v in range(n):
-        visited = bits[v].copy()
-        visited[v >> 3] |= np.uint8(0x80) >> (v & 7)
-        frontier = np.flatnonzero(np.unpackbits(bits[v], count=n))
-        if frontier.size == 0:
-            return math.inf
+    """Longest shortest path; math.inf when disconnected.
+
+    Runs a BFS from every source at once.  Sources are taken in blocks of
+    64*W; vertex v holds W uint64 words in which bit s is set once v has been
+    reached from source s.  One BFS level ORs each vertex's neighbours'
+    frontier words into it, as two ``bitwise_or.reduceat`` passes over the
+    edge list (tails are sorted in canonical edge order; heads are sorted
+    once per graph), so the cost is a few numpy calls per level, not one BFS
+    per source.  W is the most words whose gather over the edges fits
+    ``_GATHER_BYTES``.
+    """
+    n, m = g.n, g.edge_count
+    tails, heads = g.tails, g.heads
+    if g.degrees().min() == 0:
+        return math.inf
+    by_head = np.argsort(heads)
+    heads_sorted, tails_by_head = heads[by_head], tails[by_head]
+    t_starts = np.flatnonzero(np.diff(tails, prepend=-1))
+    h_starts = np.flatnonzero(np.diff(heads_sorted, prepend=-1))
+    t_verts, h_verts = tails[t_starts], heads_sorted[h_starts]
+    words = max(1, min(-(-n // 64), _GATHER_BYTES // (8 * m)))
+    one = np.uint64(1)
+    ecc_max = 1
+    for s0 in range(0, n, 64 * words):
+        s1 = min(n, s0 + 64 * words)
+        src = np.arange(s0, s1)
+        # level 1: each block source reaches itself and its neighbours
+        reach = np.zeros((n, words), dtype=np.uint64)
+        for ends, others in ((src, src), (tails, heads), (heads_sorted, tails_by_head)):
+            lo, hi = np.searchsorted(ends, (s0, s1))
+            off = ends[lo:hi] - s0
+            np.bitwise_or.at(reach, (others[lo:hi], off >> 6), one << (off & 63).astype(np.uint64))
+        full = np.bitwise_or.reduce(reach, axis=0)
+        frontier = reach
         dist = 1
-        while True:
-            nxt = np.bitwise_or.reduce(bits[frontier], axis=0) & ~visited
+        while not (reach == full).all():
+            nxt = np.zeros_like(reach)
+            nxt[t_verts] = np.bitwise_or.reduceat(np.take(frontier, heads, axis=0), t_starts, axis=0)
+            nxt[h_verts] |= np.bitwise_or.reduceat(np.take(frontier, tails_by_head, axis=0), h_starts, axis=0)
+            nxt &= ~reach
             if not nxt.any():
-                break
-            visited |= nxt
-            frontier = np.flatnonzero(np.unpackbits(nxt, count=n))
+                return math.inf
+            reach |= nxt
+            frontier = nxt
             dist += 1
-        if np.unpackbits(visited, count=n).sum() != n:
-            return math.inf
         ecc_max = max(ecc_max, dist)
     return ecc_max
 

@@ -314,20 +314,10 @@ class ThresholdGraph:
         deg += np.bincount(self.heads, minlength=self.n)
         return deg
 
-    def packed_adjacency(self) -> np.ndarray:
-        """Dense adjacency packed to bits, one row of ceil(n/8) bytes per vertex."""
-        width = (self.n + 7) // 8
-        bits = np.zeros((self.n, width), dtype=np.uint8)
-        masks_h = np.uint8(0x80) >> (self.heads & 7).astype(np.uint8)
-        masks_t = np.uint8(0x80) >> (self.tails & 7).astype(np.uint8)
-        np.bitwise_or.at(bits, (self.tails, self.heads >> 3), masks_h)
-        np.bitwise_or.at(bits, (self.heads, self.tails >> 3), masks_t)
-        return bits
-
 
 def threshold(x: WeightVector, p: float) -> ThresholdGraph:
     """Keep the coordinates with x_e <= p; monotone in p for a fixed vector."""
-    if p < 0:
+    if not p >= 0:
         raise ValueError(f"threshold must be non-negative, got {p}")
     if x.space.directed:
         raise ValueError("thresholding is defined on undirected weight vectors")

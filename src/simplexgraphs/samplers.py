@@ -68,8 +68,11 @@ def sample_simplex_batch(model: SimplexModel, rng: SeededRng, count: int) -> np.
     e = rng.exponential((count, N + 1))
     y = model.L * e[:, :N] / e.sum(axis=1, keepdims=True)
     x = y / model.alpha
-    budget = x @ model.alpha
-    assert budget.max() <= model.L * (1 + 1e-12), "simplex draw left the budget polytope"
+    # einsum stays on one thread; a BLAS matrix-vector product here spins
+    # idle threads that compete with the other trial workers.
+    budget = np.einsum("ij,j->i", x, model.alpha)
+    if not budget.max() <= model.L * (1 + 1e-12):
+        raise FloatingPointError(f"simplex draw left the budget polytope: {budget.max()!r} > L={model.L!r}")
     return x
 
 
@@ -212,7 +215,7 @@ def marginal_cdf(model: DensityModel, e: int, p: float) -> float:
     exponential  1 - exp(-lambda_e p)
     ball         regularized incomplete beta I_{(p/R)^2}(1/2, (N+1)/2)
     """
-    if p < 0:
+    if not p >= 0:
         raise ValueError(f"threshold must be non-negative, got {p}")
     N = model.space.num_edges
     if model.kind == "simplex":

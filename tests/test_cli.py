@@ -28,6 +28,14 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_nan_threshold_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "conf.txt"
+        config.write_text("kind=moments\nn=8\np=nan\ntrials=2\nseed=2\n")
+        assert main(["sweep", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+
     def test_capacity_error_exit_3(self, tmp_path, capsys):
         config = tmp_path / "conf.txt"
         config.write_text("kind=hamilton\nn=30\np=0.3\ntrials=2\nseed=2\n")

@@ -72,6 +72,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("kind=moments\nn=6\np=-0.2\ntrials=1\nseed=0\n")
 
+    @pytest.mark.parametrize("schedule", ["p=nan", "p=0.1,inf", "p_mode=clogn\nc=0,nan"])
+    def test_non_finite_threshold_rejected(self, schedule):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(f"kind=connectivity\nn=6\n{schedule}\ntrials=1\nseed=0\n")
+
     def test_matching_needs_even_n(self):
         with pytest.raises(ConfigError):
             parse_config("kind=matching\nn=5\np=0.3\ntrials=1\nseed=0\n")

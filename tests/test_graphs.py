@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from brutes import (
     all_graphs,
@@ -22,6 +26,7 @@ from simplexgraphs import (
     is_connected,
     is_hamiltonian,
     mst_weight,
+    graphs,
     sample_product_exponential,
     threshold,
 )
@@ -42,6 +47,28 @@ def complete_graph(n):
 
 def star_graph(n):
     return ThresholdGraph.from_edges(n, [(0, v) for v in range(1, n)])
+
+
+def random_graph_adj(n, seed, reach, density, isolated, cut):
+    """Random tree (each vertex joins one of the ``reach`` before it) plus
+    independent extra edges; then ``isolated`` vertices lose every edge and,
+    when ``cut`` is set, the edges across [0, cut) vs [cut, n) are dropped."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < density, 1)
+    for v in range(1, n):
+        adj[v - 1 - rng.integers(min(reach, v)), v] = True
+    adj |= adj.T
+    lonely = rng.choice(n, size=isolated, replace=False)
+    adj[lonely, :] = adj[:, lonely] = False
+    if cut:
+        adj[:cut, cut:] = adj[cut:, :cut] = False
+    return adj
+
+
+def assert_diameter_matches_references(adj):
+    g = graph_from_adj(adj)
+    hops = shortest_path(csr_matrix(adj.astype(float)), directed=False, unweighted=True)
+    assert diameter(g) == diameter_brute(adj) == hops.max()
 
 
 class TestComponents:
@@ -93,6 +120,31 @@ class TestConnectivityAndDiameter:
     def test_exhaustive_n5_against_floyd_warshall(self):
         for bits, adj in all_graphs(5):
             assert diameter(graph_from_adj(adj)) == diameter_brute(adj)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([2, 63, 64, 65, 128, 129]), st.integers(2, 200)),
+        seed=st.integers(0, 2**32 - 1),
+        reach=st.integers(1, 200),
+        density=st.sampled_from([0.0, 0.002, 0.01, 0.05, 0.3]),
+        isolated=st.sampled_from([0, 0, 0, 1, 2]),
+        cut=st.one_of(st.just(0), st.integers(0, 200)),
+    )
+    def test_property_against_floyd_warshall_and_csgraph(self, n, seed, reach, density, isolated, cut):
+        adj = random_graph_adj(n, seed, reach, density, min(isolated, n), cut % n)
+        assert_diameter_matches_references(adj)
+
+    def test_one_word_blocks(self, monkeypatch):
+        # a one-word gather budget gives 64-source blocks, so every graph
+        # with n > 64 runs the multi-block loop, full and partial blocks alike
+        monkeypatch.setattr(graphs, "_GATHER_BYTES", 8)
+        assert diameter(ThresholdGraph.from_edges(129, [(v, v + 1) for v in range(128)])) == 128
+        assert diameter(cycle_graph(130)) == 65
+        for seed, (n, reach, density, isolated, cut) in enumerate(
+            [(65, 3, 0.0, 0, 0), (128, 1, 0.01, 0, 0), (129, 40, 0.02, 0, 0), (200, 200, 0.05, 0, 0),
+             (150, 5, 0.0, 1, 0), (192, 10, 0.01, 0, 64), (200, 200, 0.05, 0, 199)]
+        ):
+            assert_diameter_matches_references(random_graph_adj(n, seed, reach, density, isolated, cut))
 
     def test_erdos_renyi_cross_model_sanity(self):
         # independent-coordinate sampler at edge prob 2 ln n / n: connected in

@@ -170,6 +170,11 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold(x, -0.1)
 
+    def test_nan_p_rejected(self):
+        x = WeightVector(EdgeSpace(3), np.ones(3))
+        with pytest.raises(ValueError, match="threshold"):
+            threshold(x, float("nan"))
+
     def test_monotone_coupling_example(self):
         rng = np.random.default_rng(3)
         x = WeightVector(EdgeSpace(6), rng.uniform(0, 1, 15))

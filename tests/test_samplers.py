@@ -39,6 +39,18 @@ class TestSimplexSampler:
         assert (xs >= 0).all()
         assert (xs @ model.alpha <= model.L * (1 + 1e-12)).all()
 
+    def test_over_budget_draw_raises(self):
+        # a negative "exponential" shrinks the normalizing sum, so the draw
+        # lands outside the polytope; the check must survive python -O
+        class OverBudgetRng:
+            def exponential(self, size):
+                e = np.ones(size)
+                e[:, -1] = -1.5
+                return e
+
+        with pytest.raises(FloatingPointError, match="budget polytope"):
+            sample_simplex_batch(SimplexModel.uniform(3), OverBudgetRng(), 2)
+
     def test_single_draw_is_weight_vector(self):
         model = SimplexModel.uniform(5)
         x = sample_simplex(model, SeededRng(2, 0))
@@ -78,6 +90,12 @@ class TestSimplexSampler:
         assert d < KS_LIMIT
         # spot agreement with the library CDF
         assert marginal_cdf(density, 0, 0.5) == pytest.approx(1.0 - (1.0 - 0.5 / 190) ** 190)
+
+    @pytest.mark.parametrize("p", [-0.1, math.nan])
+    def test_marginal_cdf_rejects_bad_threshold(self, p):
+        density = DensityModel.from_simplex(SimplexModel.uniform(5))
+        with pytest.raises(ValueError, match="threshold"):
+            marginal_cdf(density, 0, p)
 
     def test_exchangeability_under_relabeling(self):
         # all-ones coefficients: a fixed edge relabeling must not change the
