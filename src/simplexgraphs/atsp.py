@@ -1,16 +1,18 @@
 """Assignment-plus-patching heuristic for the asymmetric TSP, with exact oracles.
 
 The heuristic solves the assignment relaxation (minimum-cost perfect matching
-in the bipartite view, O(n^3) potentials method), decomposes the optimal
-permutation into cycles, then repeatedly patches the smallest remaining cycle
-into the main one: remove one edge (a,b) from the accumulator and one edge
-(c,d) from the cycle being absorbed, add (a,d) and (c,b), scanning every edge
-pair for the cheapest added cost X[a,d] + X[c,b].  Each patch cuts the cycle
-count by one, so the procedure ends with a tour; the assignment cost is a
-certified lower bound on any tour.
+in the bipartite view) by shortest augmenting paths from a column-reduction
+warm start (Jonker-Volgenant), decomposes the optimal permutation into
+cycles, then repeatedly patches the smallest remaining cycle into the main
+one: remove one edge (a,b) from the accumulator and one edge (c,d) from the
+cycle being absorbed, add (a,d) and (c,b), scanning every edge pair for the
+cheapest added cost X[a,d] + X[c,b].  Each patch cuts the cycle count by one,
+so the procedure ends with a tour; the assignment cost is a certified lower
+bound on any tour.
 
-``held_karp`` provides the exact optimum by bitmask dynamic programming for
-n <= 13, used to measure tour quality at desk scale.
+``held_karp`` provides the exact optimum by the Held-Karp subset DP, one
+vectorised step per subset size, for n <= 13, used to measure tour quality at
+desk scale.
 """
 
 from __future__ import annotations
@@ -138,51 +140,69 @@ def _cycles_of(perm: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 
 def hungarian(costs: CostMatrix) -> AssignmentResult:
-    """Minimum-cost assignment by the O(n^3) potentials method.
+    """Minimum-cost assignment by shortest augmenting paths (Jonker-Volgenant).
 
-    Row potentials u, column potentials v, and shortest augmenting paths in
-    the reduced costs; the inner column scan is vectorized.  The permutation
-    never touches the diagonal (the sentinel exceeds any derangement's cost),
-    and its cost is a lower bound on every tour.
+    Warm start by column reduction: v is the column minima, each column goes
+    to its argmin row while that row is free, and u_i = min_j X_ij - v_j, so
+    every reduced cost X_ij - u_i - v_j is non-negative and every matched
+    pair is tight.  Each free row then runs a Dijkstra search over the
+    columns in reduced costs until it reaches a free column.  As in Crouse's
+    formulation the potentials of the visited rows and columns are updated
+    once, at the end of the search, and the path is flipped.  A search step
+    is a few O(n) numpy calls: w_j is the least X_rj + (d_r - u_r) over the
+    rows r scanned so far (d_r the distance at which r was reached), and the
+    predecessor row of a column is recovered only for the columns on the
+    final path.  The permutation never touches the diagonal (the sentinel
+    exceeds any derangement's cost), and its cost is a lower bound on every
+    tour.
     """
     X = costs.finite_sentinel()
     n = costs.n
-    INF = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    col_row = np.zeros(n + 1, dtype=np.int64)  # col_row[j] = row matched to column j; 0 = free
-    way = np.zeros(n + 1, dtype=np.int64)
-
-    for i in range(1, n + 1):
-        col_row[0] = i
-        j0 = 0
-        minv = np.full(n + 1, INF)
-        used = np.zeros(n + 1, dtype=bool)
+    v = X.min(axis=0)
+    u = (X - v).min(axis=1)
+    rows, cols = np.unique(X.argmin(axis=0), return_index=True)
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        col4row[i], row4col[j] = j, i
+    step = np.empty(n)
+    for start in [i for i in range(n) if col4row[i] < 0]:
+        w = X[start] - u[start]
+        v_open = v.copy()  # -inf marks a visited column, so it is never picked again
+        reached, offsets = [start], [-u[start]]
+        visited, dists = [], []
+        i = start
         while True:
-            used[j0] = True
-            i0 = col_row[j0]
-            cur = X[i0 - 1, :] - u[i0] - v[1:]
-            better = (~used[1:]) & (cur < minv[1:])
-            if better.any():
-                minv[1:][better] = cur[better]
-                way[1:][better] = j0
-            masked = np.where(used[1:], INF, minv[1:])
-            j1 = int(np.argmin(masked)) + 1
-            delta = masked[j1 - 1]
-            used_idx = np.flatnonzero(used)
-            u[col_row[used_idx]] += delta
-            v[used_idx] -= delta
-            minv[1:][~used[1:]] -= delta
-            j0 = j1
-            if col_row[j0] == 0:
+            if i != start:
+                np.minimum(w, np.add(X[i], offsets[-1], out=step), out=w)
+            np.subtract(w, v_open, out=step)
+            j = int(step.argmin())
+            d = float(step[j])
+            visited.append(j)
+            dists.append(d)
+            i = row4col[j]
+            if i < 0:
                 break
-        while j0:
-            j1 = int(way[j0])
-            col_row[j0] = col_row[j1]
-            j0 = j1
+            v_open[j] = -np.inf
+            reached.append(i)
+            offsets.append(d - u[i])
+        gap = d - np.asarray(dists)
+        u[start] += d
+        u[reached[1:]] += gap[:-1]
+        v[visited] -= gap
+        # flip the path back from the free column j; the predecessor of a
+        # column is the first row scanned before it that attains its w
+        scanned, offsets = np.asarray(reached), np.asarray(offsets)
+        at = {j: k for k, j in enumerate(visited)}
+        while True:
+            k = at[j] + 1
+            i = reached[int(np.argmin(X[scanned[:k], j] + offsets[:k]))]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
 
-    perm = np.empty(n, dtype=np.int64)
-    perm[col_row[1:] - 1] = np.arange(n)
+    perm = np.asarray(col4row, dtype=np.int64)
     if (perm == np.arange(n)).any():
         raise RuntimeError("assignment selected a diagonal entry; sentinel too small")
     cost = float(costs.matrix[np.arange(n), perm].sum())
@@ -211,43 +231,44 @@ def patch(assignment: AssignmentResult, costs: CostMatrix) -> Tour:
 
 
 def held_karp(costs: CostMatrix) -> tuple[float, Tour]:
-    """Exact ATSP optimum by bitmask dynamic programming; capped at n=13."""
+    """Exact ATSP optimum by the Held-Karp subset DP; capped at n=13.
+
+    ``dp[T, j]`` is the cheapest path that leaves vertex 0, visits exactly the
+    vertex set T (a subset of 1..n-1, vertex v as bit v-1) and ends at j in T.
+    The DP pulls one popcount layer at a time: every (T, j) pair of the layer
+    takes ``min_k dp[T - {j}, k] + X[k, j]`` (first minimising k on ties) in
+    one vectorised step, so the Python loop runs over the n-1 layers only.
+    """
     n = costs.n
     if n > 13:
         raise CapacityError(f"exact tour search capped at n=13, got n={n}")
     X = costs.finite_sentinel()
-    size = 1 << n
+    into = X.T  # into[j] = costs of the edges k -> j
+    size = 1 << (n - 1)
     dp = np.full((size, n), np.inf)
     parent = np.full((size, n), -1, dtype=np.int8)
-    dp[1, 0] = 0.0
-    for mask in range(1, size):
-        if not mask & 1:
-            continue
-        row = dp[mask]
-        if not np.isfinite(row).any():
-            continue
-        rest = (~mask) & (size - 1)
-        m = rest
-        while m:
-            b = m & -m
-            j = b.bit_length() - 1
-            cand = row + X[:, j]
-            k = int(np.argmin(cand))
-            nm = mask | b
-            if cand[k] < dp[nm, j]:
-                dp[nm, j] = cand[k]
-                parent[nm, j] = k
-            m ^= b
+    dp[0, 0] = 0.0
+    sets = np.arange(size)
+    members = (sets[:, None] >> np.arange(n - 1)) & 1
+    popcount = members.sum(axis=1)
+    for count in range(1, n):
+        layer = sets[popcount == count]
+        at, bit = np.nonzero(members[layer])
+        T, j = layer[at], bit + 1
+        cand = dp[T ^ (1 << bit)] + into[j]
+        k = np.argmin(cand, axis=1)
+        dp[T, j] = cand[np.arange(k.size), k]
+        parent[T, j] = k
     full = size - 1
     closing = dp[full] + X[:, 0]
-    closing[0] = np.inf if n > 1 else closing[0]
+    closing[0] = np.inf
     j = int(np.argmin(closing))
     best = float(closing[j])
     order = [j]
     mask = full
     while j != 0:
         k = int(parent[mask, j])
-        mask ^= 1 << j
+        mask ^= 1 << (j - 1)
         j = k
         order.append(j)
     order.reverse()

@@ -104,6 +104,8 @@ def _cmd_oracle(args) -> int:
     print(f"p0={oracle.solve_p0(model):.12g}")
     print(f"sigma2_e0={oracle.sigma_simplex(model, 0):.12g}")
     if args.p is not None:
+        if not 0 <= args.p < math.inf:
+            raise ConfigError(f"--p must be finite and non-negative, got {args.p}")
         profile = oracle.IsolationProfile(model)
         print(f"xi_total={profile.total(args.p):.12g}")
         if np.all(model.alpha == 1.0):

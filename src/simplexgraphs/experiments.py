@@ -220,24 +220,11 @@ def resolve_alpha(spec: str, space: EdgeSpace, seed: int) -> np.ndarray:
     ones | const:<x> | uniform:<M> (iid in [1/M, M], reserved stream) |
     dvalues:<v>x<count>,... (decomposable per-vertex factors)
     """
-    if spec in ("ones", "1"):
-        return np.ones(space.num_edges)
-    if spec.startswith("const:"):
-        value = float(spec[6:])
-        if value <= 0:
-            raise ConfigError("constant coefficient must be positive")
-        return np.full(space.num_edges, value)
-    if spec.startswith("uniform:"):
-        bound = float(spec[8:])
-        if bound < 1:
-            raise ConfigError("uniform:M needs M >= 1")
-        rng = SeededRng(seed, _ALPHA_STREAM)
-        return 1.0 / bound + (bound - 1.0 / bound) * rng.uniform(space.num_edges)
     if spec.startswith("dvalues:"):
         d = resolve_dvalues(spec, space.n)
         tails, heads = space.all_pairs()
         return d[tails] * d[heads]
-    raise ConfigError(f"unknown alpha spec {spec!r}")
+    return _resolve_coefficients(spec, space.num_edges, seed, "alpha")
 
 
 def resolve_dvalues(spec: str, n: int) -> np.ndarray:
@@ -259,17 +246,29 @@ def resolve_dvalues(spec: str, n: int) -> np.ndarray:
 
 
 def resolve_beta(spec: str, n: int, seed: int) -> np.ndarray:
+    """Head-vertex weights of the ATSP model: ones | const:<x> | uniform:<M>."""
+    return _resolve_coefficients(spec, n, seed, "beta")
+
+
+def _resolve_coefficients(spec: str, count: int, seed: int, name: str) -> np.ndarray:
+    """The ones/const/uniform specs shared by alpha and beta; every value is finite and positive."""
     if spec in ("ones", "1"):
-        return np.ones(n)
-    if spec.startswith("const:"):
-        return np.full(n, float(spec[6:]))
-    if spec.startswith("uniform:"):
-        bound = float(spec[8:])
-        if bound < 1:
-            raise ConfigError("uniform:M needs M >= 1")
-        rng = SeededRng(seed, _ALPHA_STREAM)
-        return 1.0 / bound + (bound - 1.0 / bound) * rng.uniform(n)
-    raise ConfigError(f"unknown beta spec {spec!r}")
+        return np.ones(count)
+    kind, _, number = spec.partition(":")
+    if kind not in ("const", "uniform"):
+        raise ConfigError(f"unknown {name} spec {spec!r}")
+    try:
+        value = float(number)
+    except ValueError:
+        raise ConfigError(f"bad number in {name} spec {spec!r}") from None
+    if kind == "const":
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} spec {spec!r}: the constant must be finite and positive")
+        return np.full(count, value)
+    if not 1 <= value < math.inf:
+        raise ConfigError(f"{name} spec {spec!r}: uniform:M needs a finite M >= 1")
+    rng = SeededRng(seed, _ALPHA_STREAM)
+    return 1.0 / value + (value - 1.0 / value) * rng.uniform(count)
 
 
 @dataclass
@@ -297,13 +296,13 @@ def _build_context(config: ExperimentConfig) -> _SweepContext:
         model = SimplexModel(space, alpha, config.L if config.L is not None else float(space.num_edges))
         density = DensityModel.from_simplex(model)
     elif config.model == "exponential":
-        if config.rate <= 0:
-            raise ConfigError("exponential rate must be positive")
+        if not 0 < config.rate < math.inf:
+            raise ConfigError("exponential rate must be finite and positive")
         model = None
         density = DensityModel.product_exponential(config.rate, space)
     else:
-        if config.radius <= 0:
-            raise ConfigError("ball radius must be positive")
+        if not 0 < config.radius < math.inf:
+            raise ConfigError("ball radius must be finite and positive")
         model = None
         density = DensityModel.orthant_ball(config.radius, space)
 

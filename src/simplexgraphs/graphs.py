@@ -324,29 +324,10 @@ def is_hamiltonian(g: ThresholdGraph) -> bool:
     return extend(0, start_bit)
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
+# Edges per vertex in Kruskal's first batch.  A uniform random complete graph
+# is connected after about (n/2) ln n of its lightest edges, so the full sort
+# of all N weights is seldom needed.
+_KRUSKAL_BATCH = 8
 
 
 def mst_weight(x: WeightVector) -> tuple[float, list[tuple[int, int]]]:
@@ -354,21 +335,47 @@ def mst_weight(x: WeightVector) -> tuple[float, list[tuple[int, int]]]:
 
     Edges are taken in increasing weight order with ties broken by coordinate
     index (ties have measure zero under every sampler, but the rule keeps the
-    output deterministic).  Returns (total weight, list of n-1 tree edges).
+    output deterministic).  The first batch is every edge lighter than the
+    ``_KRUSKAL_BATCH * n``-th smallest weight (one ``partition``), sorted; it
+    is exactly the head of the full stable order, which is built only if the
+    tree is still unfinished.  Endpoints come from one vectorised
+    ``pair_arrays`` call per batch, and the union-find (path halving, union by
+    size) runs over plain ints.  Returns (total weight, list of n-1 tree
+    edges), the total summed in the order the edges join the tree.
     """
     space = x.space
     if space.directed:
         raise ValueError("spanning trees are defined on undirected weight vectors")
-    n = space.n
-    order = np.argsort(x.x, kind="stable")
-    uf = _UnionFind(n)
+    n, w = space.n, x.x
+    k = min(w.size, _KRUSKAL_BATCH * n)
+    lighter = np.flatnonzero(w < np.partition(w, k)[k]) if k < w.size else np.arange(w.size)
+    head = lighter[np.argsort(w[lighter], kind="stable")]
+    parent = list(range(n))
+    size = [1] * n
     tree: list[tuple[int, int]] = []
     total = 0.0
-    for e in order.tolist():
-        i, j = space.pair(e)
-        if uf.union(i, j):
+
+    def scan(edges: np.ndarray) -> bool:
+        nonlocal total
+        tails, heads = space.pair_arrays(edges)
+        for i, j, we in zip(tails.tolist(), heads.tolist(), w[edges].tolist()):
+            a, b = i, j
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                continue
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
             tree.append((i, j))
-            total += float(x.x[e])
+            total += we
             if len(tree) == n - 1:
-                break
+                return True
+        return False
+
+    if not scan(head):
+        scan(np.argsort(w, kind="stable")[head.size :])
     return total, tree

@@ -24,6 +24,13 @@ from .model import DecomposableWeights, SimplexModel
 from .samplers import DensityModel
 
 
+def _check_threshold(p: float) -> None:
+    # pow_one_minus clamps anything not below 1 to 0, NaN included, so a bad
+    # threshold must be stopped before it reaches the formula.
+    if not 0 <= p < math.inf:
+        raise ValueError(f"threshold must be finite and non-negative, got {p}")
+
+
 def _distinct_indices(edges) -> np.ndarray:
     idx = np.asarray(edges, dtype=np.int64).ravel()
     if idx.size != np.unique(idx).size:
@@ -36,8 +43,7 @@ def prob_all_absent(model: SimplexModel, S, p: float) -> float:
 
     Depends on S only through alpha(S); empty S gives 1.
     """
-    if p < 0:
-        raise ValueError(f"threshold must be non-negative, got {p}")
+    _check_threshold(p)
     idx = _distinct_indices(S)
     if idx.size == 0:
         return 1.0
@@ -65,8 +71,7 @@ def prob_absent_present(model: SimplexModel, S, T, p: float) -> AbsencePresenceE
     the bracket multiplies by exp(+-2(|T|^2/N + alpha(T) N p / L + alpha(S)|T| p / L))
     so assertions against it stay honest at finite size.
     """
-    if p < 0:
-        raise ValueError(f"threshold must be non-negative, got {p}")
+    _check_threshold(p)
     s_idx = _distinct_indices(S)
     t_idx = _distinct_indices(T)
     if np.intersect1d(s_idx, t_idx).size:
@@ -89,8 +94,7 @@ def _require_all_ones(model: SimplexModel):
 def edge_prob_q(model: SimplexModel, p: float) -> float:
     """q = P(single coordinate <= p) = 1 - (1 - p/L)^N for the all-ones model."""
     _require_all_ones(model)
-    if p < 0:
-        raise ValueError(f"threshold must be non-negative, got {p}")
+    _check_threshold(p)
     return 1.0 - pow_one_minus(p / model.L, model.space.num_edges)
 
 
@@ -111,6 +115,7 @@ class IsolationProfile:
     model: SimplexModel
 
     def xi(self, p: float) -> np.ndarray:
+        _check_threshold(p)
         av = self.model.vertex_alphas()
         return pow_one_minus(av * p / self.model.L, self.model.space.num_edges)
 

@@ -42,10 +42,6 @@ class SeededRng:
         key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def split(self, stream: int) -> "SeededRng":
-        """Fresh independent stream under the same base seed."""
-        return SeededRng(self.seed, stream)
-
     def uniform(self, size=None):
         return self._gen.random(size)
 
@@ -91,8 +87,8 @@ def sample_orthant_ball(radius: float, space: EdgeSpace, rng: SeededRng) -> Weig
     R * U^(1/N)) reflected into the orthant; valid because the ball's
     uniform density is unchanged by coordinate sign flips.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     N = space.num_edges
     g = rng.standard_normal(N)
     u = float(rng.uniform())
@@ -130,8 +126,8 @@ class DensityModel:
 
     @classmethod
     def orthant_ball(cls, radius: float, space: EdgeSpace) -> "DensityModel":
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {radius}")
         return cls("ball", space, radius=float(radius))
 
     # --- sampling -----------------------------------------------------------
@@ -142,11 +138,6 @@ class DensityModel:
         if self.kind == "exponential":
             return sample_product_exponential(self.rates, self.space, rng)
         return sample_orthant_ball(self.radius, self.space, rng)
-
-    def sample_batch(self, rng: SeededRng, count: int) -> np.ndarray:
-        if self.kind == "simplex":
-            return sample_simplex_batch(self.simplex, rng, count)
-        return np.stack([self.sample(rng).x for _ in range(count)])
 
     # --- per-axis moments ----------------------------------------------------
 

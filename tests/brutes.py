@@ -96,6 +96,29 @@ def mst_weight_brute(x):
     return best
 
 
+def kruskal_reference(x):
+    """Kruskal over the full stable sort, components kept as relabelled sets.
+
+    Returns (total, tree) with the tree edges in the order they join and the
+    total summed in that order, so a faster Kruskal can be compared exactly.
+    """
+    space = x.space
+    label = list(range(space.n))
+    tree = []
+    total = 0.0
+    for e in np.argsort(x.x, kind="stable").tolist():
+        i, j = space.pair(e)
+        a, b = label[i], label[j]
+        if a == b:
+            continue
+        label = [a if lab == b else lab for lab in label]
+        tree.append((i, j))
+        total += float(x.x[e])
+        if len(tree) == space.n - 1:
+            break
+    return total, tree
+
+
 def prim_weight(x):
     """Dense Prim's algorithm on the complete weighted graph."""
     space = x.space

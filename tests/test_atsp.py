@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from brutes import assignment_brute, tour_brute
@@ -24,6 +26,14 @@ from simplexgraphs import (
 def random_costs(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.01, 1.0, (n, n))
+    np.fill_diagonal(m, np.inf)
+    return CostMatrix(m)
+
+
+def property_costs(n, seed, integer):
+    # integer costs tie often: equal optimal costs, several optimal permutations
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, 5, (n, n)).astype(float) if integer else rng.uniform(0.01, 1.0, (n, n))
     np.fill_diagonal(m, np.inf)
     return CostMatrix(m)
 
@@ -90,6 +100,28 @@ class TestHungarian:
             sentinel = c.finite_sentinel()
             rows, cols = linear_sum_assignment(sentinel)
             assert hungarian(c).cost == pytest.approx(sentinel[rows, cols].sum(), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), integer=st.booleans())
+    def test_property_against_brute_force(self, n, seed, integer):
+        c = property_costs(n, seed, integer)
+        res = hungarian(c)
+        assert sorted(res.assignment.tolist()) == list(range(n))
+        assert (res.assignment != np.arange(n)).all()
+        assert res.cost == float(c.matrix[np.arange(n), res.assignment].sum())
+        assert abs(res.cost - assignment_brute(c.matrix)) < 1e-9
+        assert sorted(v for cy in res.cycles for v in cy) == list(range(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), integer=st.booleans())
+    def test_property_against_scipy(self, n, seed, integer):
+        c = property_costs(n, seed, integer)
+        sentinel = c.finite_sentinel()
+        rows, cols = linear_sum_assignment(sentinel)
+        res = hungarian(c)
+        assert res.cost == pytest.approx(sentinel[rows, cols].sum(), abs=1e-9)
+        if not integer:  # continuous costs have a unique optimum
+            assert np.array_equal(res.assignment, cols)
 
     def test_row_shift_leaves_argmin_unchanged(self):
         c = random_costs(9, 8)
@@ -186,6 +218,16 @@ class TestHeldKarp:
         for seed in range(25):
             c = random_costs(9, 600 + seed)
             assert patch(hungarian(c), c).cost >= held_karp(c)[0] - 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), integer=st.booleans())
+    def test_property_against_enumeration(self, n, seed, integer):
+        c = property_costs(n, seed, integer)
+        best, tour = held_karp(c)
+        tour.validate(c)
+        assert tour.order[0] == 0
+        assert tour.cost == best
+        assert best == pytest.approx(tour_brute(c.matrix), abs=1e-12)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

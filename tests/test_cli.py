@@ -36,6 +36,22 @@ class TestSweepCommand:
         assert "config error" in captured.err
         assert captured.out == ""
 
+    def test_nan_ball_radius_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "conf.txt"
+        config.write_text("kind=connectivity\nmodel=ball\nradius=nan\nn=8\np=0.3\ntrials=2\nseed=2\n")
+        assert main(["sweep", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_atsp_bad_beta_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "conf.txt"
+        config.write_text("kind=atsp\nbeta=const:-1\nn=8\ntrials=2\nseed=2\n")
+        assert main(["sweep", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_capacity_error_exit_3(self, tmp_path, capsys):
         config = tmp_path / "conf.txt"
         config.write_text("kind=hamilton\nn=30\np=0.3\ntrials=2\nseed=2\n")
@@ -88,6 +104,12 @@ class TestOracleCommand:
         assert float(fields["sigma2_e0"]) == pytest.approx(72.0 / 56.0, rel=1e-9)
 
 
+    @pytest.mark.parametrize("p", ["nan", "inf", "-0.5"])
+    def test_bad_threshold_exit_2(self, capsys, p):
+        assert main(["oracle", "--n", "4", "--p", p]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
 class TestMstCommand:
     def test_reports_series_and_gap(self, capsys):
         assert main(["mst", "--n", "10", "--trials", "40", "--seed", "3"]) == 0
@@ -98,6 +120,13 @@ class TestMstCommand:
 
 
 class TestAtspCommand:
+    @pytest.mark.parametrize("beta", ["const:-1", "const:nan", "const:abc"])
+    def test_bad_beta_exit_2(self, capsys, beta):
+        assert main(["atsp", "--n", "8", "--beta", beta, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_table(self, capsys):
         assert main(["atsp", "--n", "7", "--trials", "3", "--seed", "4"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import simplexgraphs
 
 from brutes import expected_mst_weight_exact
 from simplexgraphs import (
@@ -90,6 +96,21 @@ class TestConfigParsing:
             parse_config("kind=connectivity\nn=20\np_mode=p0eps\neps=0\ntrials=1\nseed=0\n")
         cfg = parse_config("kind=connectivity\nn=20\np_mode=p0eps\neps=0.3\ntrials=1\nseed=0\n")
         assert cfg.eps == 0.3
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["model=ball\nradius=nan", "model=ball\nradius=inf", "model=exponential\nrate=nan", "alpha=const:abc",
+         "alpha=const:inf", "alpha=uniform:nan", "alpha=unknown:1"],
+    )
+    def test_bad_model_parameter_is_config_error(self, setting):
+        cfg = parse_config(f"kind=connectivity\nn=8\np=0.3\n{setting}\ntrials=1\nseed=0\n")
+        with pytest.raises(ConfigError):
+            run_sweep(cfg)
+
+    @pytest.mark.parametrize("beta", ["const:-1", "const:0", "const:nan", "const:inf", "const:x", "uniform:0.5", "warp:2"])
+    def test_bad_beta_is_config_error(self, beta):
+        with pytest.raises(ConfigError, match="beta"):
+            run_sweep(ExperimentConfig(kind="atsp", n=8, trials=1, seed=0, beta=beta))
 
     def test_theta_schedule_validation(self):
         with pytest.raises(ConfigError):
@@ -196,6 +217,23 @@ class TestRunSweep:
         a = run_sweep(cfg).csv_text
         b = run_sweep(cfg).csv_text
         assert a == b
+
+
+class TestImportCost:
+    def test_tour_sweeps_import_no_scipy_solvers(self):
+        # scipy.optimize (~22 MB) and scipy.sparse.csgraph (~9.5 MB) are
+        # test references only; the tour kernels must not pull them in
+        code = (
+            "import sys\n"
+            "from simplexgraphs import ExperimentConfig, run_sweep\n"
+            "run_sweep(ExperimentConfig(kind='atsp', n=12, trials=1, seed=0))\n"
+            "run_sweep(ExperimentConfig(kind='mst', n=20, trials=1, seed=0))\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.csgraph') if m in sys.modules))\n"
+        )
+        src = str(Path(simplexgraphs.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestWilson:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import minimum_spanning_tree, shortest_path
 
 from brutes import (
+    kruskal_reference,
     all_graphs,
     components_brute,
     diameter_brute,
@@ -237,6 +238,18 @@ class TestHamiltonian:
         assert not is_hamiltonian(complete_graph(2))
 
 
+def mst_instance(n, seed, kind):
+    space = EdgeSpace(n)
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        return WeightVector(space, rng.integers(1, 4, space.num_edges).astype(float))
+    w = rng.uniform(0.01, 1.0, space.num_edges)
+    if kind == "heavy_vertex":
+        tails, _ = space.all_pairs()
+        w[tails == 0] += 1.0
+    return WeightVector(space, w)
+
+
 class TestMstWeight:
     def test_hand_instance(self):
         x = WeightVector(EdgeSpace(3), np.array([0.1, 0.2, 0.9]))
@@ -273,6 +286,38 @@ class TestMstWeight:
             space = EdgeSpace(n)
             x = WeightVector(space, rng.uniform(0.0, 1.0, space.num_edges))
             assert mst_weight(x)[0] == pytest.approx(prim_weight(x), abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), integer=st.booleans())
+    def test_property_against_prufer_enumeration(self, n, seed, integer):
+        x = mst_instance(n, seed, "integer" if integer else "uniform")
+        w, tree = mst_weight(x)
+        assert len(tree) == n - 1
+        assert w == pytest.approx(mst_weight_brute(x), abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([17, 18, 40, 60]), st.integers(2, 60)),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["uniform", "integer", "heavy_vertex"]),
+    )
+    def test_property_against_reference_kruskal_and_csgraph(self, n, seed, kind):
+        # integer weights put ties at the first batch's cut; a heavy vertex
+        # keeps the first batch disconnected once n >= 18, so the full sort runs
+        x = mst_instance(n, seed, kind)
+        total, tree = mst_weight(x)
+        assert (total, tree) == kruskal_reference(x)
+        dense = np.zeros((n, n))
+        tails, heads = x.space.all_pairs()
+        dense[tails, heads] = x.x
+        assert total == pytest.approx(minimum_spanning_tree(dense).sum(), rel=1e-12)
+
+    def test_first_batch_too_small(self):
+        # vertex 0's edges are the heaviest, so the 8n lightest edges miss it
+        x = mst_instance(40, 5, "heavy_vertex")
+        tails, heads = x.space.all_pairs()
+        assert (x.x[tails == 0] > np.partition(x.x, 8 * 40)[8 * 40]).all()
+        assert mst_weight(x) == kruskal_reference(x)
 
     def test_rejects_directed(self):
         x = WeightVector(EdgeSpace(3, directed=True), np.ones(6))

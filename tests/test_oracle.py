@@ -182,6 +182,28 @@ class TestEdgeCountMoments:
         assert inside >= 1.0 - 1.0 / omega
 
 
+class TestBadThreshold:
+    # pow_one_minus clamps NaN like a value >= 1, so every public caller
+    # must reject a bad threshold before it gets there
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -0.1])
+    def test_each_oracle_rejects(self, p):
+        m = SimplexModel.uniform(10)
+        profile = IsolationProfile(m)
+        calls = [
+            lambda: prob_all_absent(m, [0, 1], p),
+            lambda: prob_absent_present(m, [0], [1], p),
+            lambda: edge_prob_q(m, p),
+            lambda: expected_edge_count(m, p),
+            lambda: edge_count_variance_bound(m, p),
+            lambda: profile.xi(p),
+            lambda: profile.xi_vertex(0, p),
+            lambda: profile.total(p),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                call()
+
+
 class TestSolveP0:
     def test_hand_value_n4(self):
         # 4 (1 - p/2)^6 = 1  =>  p = 2 (1 - 4^(-1/6))

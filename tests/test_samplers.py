@@ -186,6 +186,14 @@ class TestOrthantBallSampler:
         by_quad = quad(lambda t: t * t * pdf(t), 0, R)[0]
         assert by_quad == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_radius(self, radius):
+        space = EdgeSpace(4)
+        with pytest.raises(ValueError, match="radius"):
+            DensityModel.orthant_ball(radius, space)
+        with pytest.raises(ValueError, match="radius"):
+            sample_orthant_ball(radius, space, SeededRng(0, 0))
+
     def test_reduces_to_uniform_interval_when_single_coordinate(self):
         space = EdgeSpace(2)  # N = 1
         density = DensityModel.orthant_ball(2.0, space)
