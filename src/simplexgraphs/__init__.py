@@ -48,10 +48,7 @@ from .model import (
     SimplexModel,
     ThresholdGraph,
     WeightVector,
-    edge_index,
-    edge_pair,
     threshold,
-    vertex_alpha,
 )
 from .oracle import (
     AbsencePresenceEstimate,
@@ -106,8 +103,6 @@ __all__ = [
     "connectivity_limit_experiment",
     "diameter",
     "edge_count_variance_bound",
-    "edge_index",
-    "edge_pair",
     "edge_prob_q",
     "expected_edge_count",
     "held_karp",
@@ -135,6 +130,5 @@ __all__ = [
     "threshold",
     "threshold_transition_experiment",
     "tour_cost",
-    "vertex_alpha",
     "wilson_interval",
 ]

@@ -16,9 +16,9 @@ from . import experiments, oracle
 from .errors import CapacityError, ConfigError
 from .experiments import (
     atsp_experiment,
+    build_model,
     load_config,
     mst_experiment,
-    resolve_alpha,
     resolve_dvalues,
     run_sweep,
 )
@@ -72,16 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
-    space = EdgeSpace(args.n)
-    if args.model == "simplex":
-        model = SimplexModel(space, resolve_alpha(args.alpha, space, args.seed),
-                             args.L if args.L is not None else float(space.num_edges))
-        density = DensityModel.from_simplex(model)
-    elif args.model == "exponential":
-        density = DensityModel.product_exponential(args.rate, space)
-    else:
-        density = DensityModel.orthant_ball(args.radius, space)
-    lines = ["trial," + ",".join(f"x{e}" for e in range(space.num_edges))]
+    if args.trials < 0:
+        raise ConfigError("trials must be non-negative")
+    _, density = build_model(args.n, args.model, args.alpha, args.L, args.rate, args.radius, args.seed)
+    lines = ["trial," + ",".join(f"x{e}" for e in range(density.space.num_edges))]
     for t in range(args.trials):
         x = density.sample(SeededRng(args.seed, experiments.trial_stream(0, t)))
         lines.append(str(t) + "," + ",".join(format(v, ".12g") for v in x.x))
@@ -95,11 +89,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    space = EdgeSpace(args.n)
-    model = SimplexModel(space, resolve_alpha(args.alpha, space, args.seed),
-                         args.L if args.L is not None else float(space.num_edges))
+    model, _ = build_model(args.n, alpha=args.alpha, L=args.L, seed=args.seed)
     print(f"n={args.n}")
-    print(f"N={space.num_edges}")
+    print(f"N={model.space.num_edges}")
     print(f"L={model.L:.12g}")
     print(f"p0={oracle.solve_p0(model):.12g}")
     print(f"sigma2_e0={oracle.sigma_simplex(model, 0):.12g}")

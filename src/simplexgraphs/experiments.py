@@ -14,6 +14,7 @@ with Wilson 95% intervals where applicable.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -88,8 +89,9 @@ class ExperimentConfig:
             raise ConfigError(f"need n >= 2, got {self.n}")
         if self.trials < 0:
             raise ConfigError("trials must be non-negative")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.workers <= cpus:
+            raise ConfigError(f"workers must be between 1 and the CPU count {cpus}, got {self.workers}")
         if self.kind == "matching" and self.n % 2:
             raise ConfigError("perfect-matching experiments need even n")
         if self.kind == "hamilton" and self.n > 24:
@@ -228,7 +230,12 @@ def resolve_alpha(spec: str, space: EdgeSpace, seed: int) -> np.ndarray:
 
 
 def resolve_dvalues(spec: str, n: int) -> np.ndarray:
-    """Per-vertex factors from 'ones' or 'dvalues:<v>x<count>,...' (counts sum to n)."""
+    """Per-vertex factors from 'ones' or 'dvalues:<v>x<count>,...' (counts sum to n).
+
+    Every factor must be finite and positive, and every count a non-negative integer.
+    """
+    if n < 2:
+        raise ConfigError(f"need n >= 2, got {n}")
     if spec in ("ones", "1"):
         return np.ones(n)
     if not spec.startswith("dvalues:"):
@@ -239,7 +246,13 @@ def resolve_dvalues(spec: str, n: int) -> np.ndarray:
         if "x" not in part:
             raise ConfigError(f"bad dvalues item {part!r} (want <value>x<count>)")
         v, k = part.split("x", 1)
-        values.extend([float(v)] * int(k))
+        try:
+            value, count = float(v), int(k)
+        except ValueError:
+            raise ConfigError(f"bad dvalues item {part!r} (want <value>x<count>)") from None
+        if not 0 < value < math.inf or count < 0:
+            raise ConfigError(f"dvalues item {part!r}: the value must be finite and positive, the count >= 0")
+        values.extend([value] * count)
     if len(values) != n:
         raise ConfigError(f"dvalues counts sum to {len(values)}, config says n={n}")
     return np.asarray(values)
@@ -280,44 +293,72 @@ class _SweepContext:
     atsp_model: SimplexModel | None = None
 
 
-def _build_context(config: ExperimentConfig) -> _SweepContext:
-    config.validate()
-    if config.kind == "atsp":
-        beta = resolve_beta(config.beta, config.n, config.seed)
-        return _SweepContext(config, (math.inf,), atsp_model=row_symmetric_model(beta, config.n, config.L))
-    if config.kind == "mst":
-        d = resolve_dvalues(config.alpha, config.n)
-        model = DecomposableWeights(d).to_simplex_model(config.L)
-        return _SweepContext(config, (math.inf,), simplex=model)
+def _budget(L: float | None) -> float | None:
+    """The budget L as given (None means the coordinate count N); it must be finite and positive."""
+    if L is not None and not 0 < L < math.inf:
+        raise ConfigError(f"budget L must be finite and positive, got {L}")
+    return L
 
-    space = EdgeSpace(config.n)
-    if config.model == "simplex":
-        alpha = resolve_alpha(config.alpha, space, config.seed)
-        model = SimplexModel(space, alpha, config.L if config.L is not None else float(space.num_edges))
-        density = DensityModel.from_simplex(model)
-    elif config.model == "exponential":
-        if not 0 < config.rate < math.inf:
+
+def build_model(
+    n: int,
+    model: str = "simplex",
+    alpha: str = "ones",
+    L: float | None = None,
+    rate: float = 1.0,
+    radius: float = 1.0,
+    seed: int = 0,
+) -> tuple[SimplexModel | None, DensityModel]:
+    """The weight density of a sweep or CLI command, plus its simplex model (None off the simplex).
+
+    Bad parameters are config errors: n < 2, a budget L or exponential rate or
+    ball radius that is not finite and positive, and bad alpha specs.
+    """
+    if n < 2:
+        raise ConfigError(f"need n >= 2, got {n}")
+    space = EdgeSpace(n)
+    if model == "simplex":
+        L = _budget(L)
+        simplex = SimplexModel(space, resolve_alpha(alpha, space, seed), L if L is not None else float(space.num_edges))
+        return simplex, DensityModel.from_simplex(simplex)
+    if model == "exponential":
+        if not 0 < rate < math.inf:
             raise ConfigError("exponential rate must be finite and positive")
-        model = None
-        density = DensityModel.product_exponential(config.rate, space)
-    else:
-        if not 0 < config.radius < math.inf:
-            raise ConfigError("ball radius must be finite and positive")
-        model = None
-        density = DensityModel.orthant_ball(config.radius, space)
+        return None, DensityModel.product_exponential(rate, space)
+    if not 0 < radius < math.inf:
+        raise ConfigError("ball radius must be finite and positive")
+    return None, DensityModel.orthant_ball(radius, space)
 
+
+def _schedule(config: ExperimentConfig, simplex: SimplexModel | None) -> tuple[float, ...]:
+    """The thresholds a config's p_mode names; p0eps solves for p0 on ``simplex``."""
     if config.p_mode == "explicit":
-        schedule = tuple(config.p_values)
-    elif config.p_mode == "clogn":
+        return tuple(config.p_values)
+    if config.p_mode == "clogn":
         schedule = tuple((math.log(config.n) + c) / config.n for c in config.c_values)
     elif config.p_mode == "theta":
         schedule = (config.n ** (config.theta - 1.0),)
     else:  # p0eps
-        p0 = oracle.solve_p0(model)
+        p0 = oracle.solve_p0(simplex)
         schedule = ((1.0 - config.eps) * p0, (1.0 + config.eps) * p0)
-    if config.p_mode != "explicit" and any(not p > 0 for p in schedule):
+    if any(not p > 0 for p in schedule):
         raise ConfigError("derived schedule produced a non-positive threshold")
-    return _SweepContext(config, schedule, density=density, simplex=model)
+    return schedule
+
+
+def _build_context(config: ExperimentConfig) -> _SweepContext:
+    config.validate()
+    if config.kind == "atsp":
+        beta = resolve_beta(config.beta, config.n, config.seed)
+        return _SweepContext(config, (math.inf,), atsp_model=row_symmetric_model(beta, config.n, _budget(config.L)))
+    if config.kind == "mst":
+        d = resolve_dvalues(config.alpha, config.n)
+        model = DecomposableWeights(d).to_simplex_model(_budget(config.L))
+        return _SweepContext(config, (math.inf,), simplex=model)
+    simplex, density = build_model(
+        config.n, config.model, config.alpha, config.L, config.rate, config.radius, config.seed
+    )
+    return _SweepContext(config, _schedule(config, simplex), density=density, simplex=simplex)
 
 
 # --- trial execution -------------------------------------------------------------
@@ -388,14 +429,33 @@ def _run_trial(ctx: _SweepContext, p_index: int, p: float, trial: int) -> TrialR
 _WORKER_CTX: _SweepContext | None = None
 
 
-def _init_worker(config: ExperimentConfig) -> None:
+def _init_worker(ctx: _SweepContext) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = _build_context(config)
+    _WORKER_CTX = ctx
 
 
 def _worker_trial(task: tuple[int, float, int]) -> TrialRecord:
     p_index, p, trial = task
     return _run_trial(_WORKER_CTX, p_index, p, trial)
+
+
+def _run_trials(ctx: _SweepContext, points) -> list[TrialRecord]:
+    """``ctx.config.trials`` trials at each (p_index, p) of ``points``, sorted by (p_index, trial).
+
+    Runs on ``ctx.config.workers`` processes.  Pool workers receive the built
+    context (inherited under fork), not the config, so no worker rebuilds the
+    model.
+    """
+    tasks = [(pi, p, t) for pi, p in points for t in range(ctx.config.trials)]
+    workers = ctx.config.workers
+    if workers > 1 and tasks:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,)) as pool:
+            records = list(pool.map(_worker_trial, tasks, chunksize=chunk))
+    else:
+        records = [_run_trial(ctx, *task) for task in tasks]
+    records.sort(key=lambda r: (r.p_index, r.trial))
+    return records
 
 
 # --- statistics ------------------------------------------------------------------
@@ -508,14 +568,7 @@ def _oracle_value(ctx: _SweepContext, p_index: int, p: float) -> float:
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run trials for every threshold in the schedule and emit CSV plus summaries."""
     ctx = _build_context(config)
-    tasks = [(pi, p, t) for pi, p in enumerate(ctx.schedule) for t in range(config.trials)]
-    if config.workers > 1 and tasks:
-        chunk = max(1, len(tasks) // (config.workers * 8))
-        with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker, initargs=(config,)) as pool:
-            records = list(pool.map(_worker_trial, tasks, chunksize=chunk))
-    else:
-        records = [_run_trial(ctx, pi, p, t) for pi, p, t in tasks]
-    records.sort(key=lambda r: (r.p_index, r.trial))
+    records = _run_trials(ctx, enumerate(ctx.schedule))
 
     summaries = []
     if config.trials > 0:
@@ -598,9 +651,12 @@ class TransitionResult:
 
 
 def threshold_transition_experiment(model: SimplexModel, eps: float, trials: int, seed: int) -> TransitionResult:
-    """Connectivity frequencies just below and just above the isolation threshold p0."""
-    if not (0 < eps < 1):
-        raise ConfigError("the transition experiment needs a fixed eps in (0, 1)")
+    """Connectivity frequencies just below and just above the isolation threshold p0.
+
+    The same trials as a connectivity sweep with ``p_mode=p0eps`` over ``model``.
+    """
+    config = ExperimentConfig(kind="connectivity", n=model.space.n, trials=trials, seed=seed, p_mode="p0eps", eps=eps)
+    config.validate()
     n = model.space.n
     bound_m = float(max(model.alpha.max(), 1.0 / model.alpha.min()))
     if bound_m > math.log(n) ** 0.25:
@@ -609,18 +665,21 @@ def threshold_transition_experiment(model: SimplexModel, eps: float, trials: int
             "the sharp-threshold hypothesis is violated",
             stacklevel=2,
         )
-    p0 = oracle.solve_p0(model)
-    freqs = []
-    intervals = []
-    for p_index, p in enumerate(((1 - eps) * p0, (1 + eps) * p0)):
-        hits = 0
-        for t in range(trials):
-            rng = SeededRng(seed, trial_stream(p_index, t))
-            g = threshold(sample_simplex(model, rng), p)
-            hits += graphs.is_connected(g)
-        freqs.append(hits / trials if trials else math.nan)
-        intervals.append(wilson_interval(hits, trials))
-    return TransitionResult(p0, eps, freqs[0], intervals[0], freqs[1], intervals[1], trials, bound_m)
+    ctx = _SweepContext(config, _schedule(config, model), density=DensityModel.from_simplex(model), simplex=model)
+    records = _run_trials(ctx, enumerate(ctx.schedule))
+    below, above = (
+        _summarize(ctx, pi, p, [r for r in records if r.p_index == pi]) for pi, p in enumerate(ctx.schedule)
+    )
+    return TransitionResult(
+        oracle.solve_p0(model),
+        eps,
+        below["freq"],
+        (below["wilson_lo"], below["wilson_hi"]),
+        above["freq"],
+        (above["wilson_lo"], above["wilson_hi"]),
+        trials,
+        bound_m,
+    )
 
 
 @dataclass(frozen=True)
@@ -634,7 +693,9 @@ class MstExperimentResult:
 
 
 def mst_experiment(weights: DecomposableWeights, n: int, trials: int, seed: int) -> MstExperimentResult:
-    """Monte Carlo mean spanning-tree weight vs the closed-form series."""
+    """Monte Carlo mean spanning-tree weight vs the closed-form series (the trials of an mst sweep)."""
+    config = ExperimentConfig(kind="mst", n=n, trials=trials, seed=seed)
+    config.validate()
     if weights.n != n:
         raise ConfigError(f"weights describe {weights.n} vertices, config says n={n}")
     if n <= 20:
@@ -644,14 +705,9 @@ def mst_experiment(weights: DecomposableWeights, n: int, trials: int, seed: int)
     else:
         raise ConfigError("no series mode available: n > 20 with more than 4 distinct factors")
     series = oracle.mst_series(weights, mode=mode)
-    model = weights.to_simplex_model()
-    values = np.empty(trials)
-    for t in range(trials):
-        rng = SeededRng(seed, trial_stream(0, t))
-        values[t] = graphs.mst_weight(sample_simplex(model, rng))[0]
-    mean = float(values.mean()) if trials else math.nan
-    se = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
-    return MstExperimentResult(mean, se, series, abs(mean - series) / series, trials, mode)
+    ctx = _SweepContext(config, (math.inf,), simplex=weights.to_simplex_model())
+    s = _summarize(ctx, 0, math.inf, _run_trials(ctx, [(0, math.inf)]))
+    return MstExperimentResult(s["mean"], s["se"], series, abs(s["mean"] - series) / series, trials, mode)
 
 
 @dataclass(frozen=True)
@@ -666,33 +722,23 @@ class AtspRow:
 
 
 def atsp_experiment(beta_spec: str, n_values, trials: int, seed: int) -> list[AtspRow]:
-    """Tour quality ratios across sizes; exact optimum included where n <= 13."""
+    """Tour quality ratios across sizes; exact optimum included where n <= 13.
+
+    Size ``n_values[i]`` runs the trials of an atsp sweep on streams ``(i, t)``.
+    """
     rows = []
     for n_index, n in enumerate(n_values):
-        beta = resolve_beta(beta_spec, n, seed)
-        model = row_symmetric_model(beta, n)
-        ratios = np.empty(trials)
-        opt_ratios = []
-        cycle_counts = np.empty(trials)
-        for t in range(trials):
-            rng = SeededRng(seed, trial_stream(n_index, t))
-            costs = sample_row_symmetric(model, rng)
-            assignment = hungarian(costs)
-            tour = patch(assignment, costs)
-            ratios[t] = tour.cost / assignment.cost
-            cycle_counts[t] = len(assignment.cycles)
-            if n <= 13:
-                optimal, _ = held_karp(costs)
-                opt_ratios.append(tour.cost / optimal)
+        ctx = _build_context(ExperimentConfig(kind="atsp", n=n, trials=trials, seed=seed, beta=beta_spec))
+        s = _summarize(ctx, n_index, math.inf, _run_trials(ctx, [(n_index, math.inf)]))
         rows.append(
             AtspRow(
                 n=n,
                 trials=trials,
-                mean_tour_over_assignment=float(ratios.mean()) if trials else math.nan,
-                se_tour_over_assignment=float(ratios.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan,
-                mean_tour_over_optimal=float(np.mean(opt_ratios)) if opt_ratios else math.nan,
-                mean_cycles=float(cycle_counts.mean()) if trials else math.nan,
-                bound_M=float(max(beta.max(), 1.0 / beta.min())),
+                mean_tour_over_assignment=s["mean_ratio"],
+                se_tour_over_assignment=s["se_ratio"],
+                mean_tour_over_optimal=s["mean_tour_over_opt"],
+                mean_cycles=s["mean_cycles"],
+                bound_M=ctx.atsp_model.M,
             )
         )
     return rows

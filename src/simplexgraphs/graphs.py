@@ -4,14 +4,13 @@ Connectivity and component structure run on a union-find partition; diameter
 runs a bit-parallel BFS from all sources at once (one bit per source and
 vertex, a few numpy calls over the edge list per BFS level); the
 perfect-matching check works across the fixed vertex split [0, n/2) vs
-[n/2, n) with augmenting paths; the Hamilton-cycle decision is exact
+[n/2, n) with scipy's Hopcroft-Karp; the Hamilton-cycle decision is exact
 backtracking with pruning, capped at n=24.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,61 +158,22 @@ def diameter(g: ThresholdGraph) -> int | float:
 def bipartite_perfect_matching(g: ThresholdGraph) -> bool:
     """Perfect matching across the fixed split [0, n/2) vs [n/2, n)?
 
-    Only edges crossing the split participate.  Hopcroft-Karp style phases of
-    BFS distances plus DFS augmentation.
+    Only edges crossing the split participate; since tails < heads, a
+    crossing edge has its tail on the left.  Runs scipy's Hopcroft-Karp
+    (``maximum_bipartite_matching``) on the left-by-right biadjacency matrix.
+    csgraph is imported here, not with the module, because it adds ~9 MB
+    to every process that imports the package.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     if g.n % 2:
         raise ValueError(f"perfect matching needs an even vertex count, got n={g.n}")
     half = g.n // 2
-    adj: list[list[int]] = [[] for _ in range(half)]
-    for t, h in zip(g.tails.tolist(), g.heads.tolist()):
-        if t < half <= h:
-            adj[t].append(h - half)
-        elif h < half <= t:
-            adj[h].append(t - half)
-
-    INF = float("inf")
-    match_u = [-1] * half
-    match_v = [-1] * half
-
-    def bfs():
-        dist = [INF] * half
-        q = deque()
-        for u in range(half):
-            if match_u[u] == -1:
-                dist[u] = 0
-                q.append(u)
-        found = False
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                w = match_v[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return found, dist
-
-    def dfs(u: int, dist) -> bool:
-        for v in adj[u]:
-            w = match_v[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w, dist)):
-                match_u[u] = v
-                match_v[v] = u
-                return True
-        dist[u] = INF
-        return False
-
-    matched = 0
-    while True:
-        found, dist = bfs()
-        if not found:
-            break
-        for u in range(half):
-            if match_u[u] == -1 and dfs(u, dist):
-                matched += 1
-    return matched == half
+    cross = (g.tails < half) & (g.heads >= half)
+    rows, cols = g.tails[cross], g.heads[cross] - half
+    biadjacency = csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(half, half))
+    return bool((maximum_bipartite_matching(biadjacency, perm_type="column") >= 0).all())
 
 
 def _articulation_free(adj_mask: list[int], n: int) -> bool:

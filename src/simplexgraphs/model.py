@@ -96,14 +96,6 @@ class EdgeSpace:
             raise ValueError(f"vertex pair ({i},{j}) out of range for n={self.n}")
 
 
-def edge_index(space: EdgeSpace, i: int, j: int) -> int:
-    return space.index(i, j)
-
-
-def edge_pair(space: EdgeSpace, e: int):
-    return space.pair(e)
-
-
 @dataclass(frozen=True)
 class SimplexModel:
     """Weight budget polytope {x >= 0 : sum_e alpha_e * x_e <= L}.
@@ -141,10 +133,6 @@ class SimplexModel:
         space = EdgeSpace(n, directed=directed)
         return cls(space, np.ones(space.num_edges), float(L) if L is not None else float(space.num_edges), M=1.0)
 
-    @classmethod
-    def from_alpha(cls, space: EdgeSpace, alpha, L: float | None = None, M: float | None = None) -> "SimplexModel":
-        return cls(space, np.asarray(alpha, dtype=float), float(L) if L is not None else float(space.num_edges), M=M)
-
     @cached_property
     def _vertex_alphas(self) -> np.ndarray:
         if self.space.directed:
@@ -170,10 +158,6 @@ class SimplexModel:
         if idx.size and (idx.min() < 0 or idx.max() >= self.space.num_edges):
             raise ValueError("edge index out of range")
         return float(self.alpha[idx].sum())
-
-
-def vertex_alpha(model: SimplexModel, v: int) -> float:
-    return model.vertex_alpha(v)
 
 
 @dataclass(frozen=True)
@@ -248,13 +232,12 @@ class ThresholdGraph:
     """Graph on [n] keeping exactly the coordinates with weight <= p.
 
     Stores a flat boolean mask over coordinates (for coupling checks) plus
-    the decoded endpoint arrays; adjacency lists are materialized lazily in
-    CSR form for traversal.
+    the decoded endpoint arrays, in canonical edge order with tails < heads.
     """
 
-    __slots__ = ("n", "edge_mask", "edge_indices", "tails", "heads", "_indptr", "_nbrs")
+    __slots__ = ("n", "edge_mask", "edge_indices", "tails", "heads")
 
-    def __init__(self, n: int, edge_mask: np.ndarray, tails: np.ndarray | None = None, heads: np.ndarray | None = None):
+    def __init__(self, n: int, edge_mask: np.ndarray):
         space = EdgeSpace(n)
         edge_mask = np.asarray(edge_mask, dtype=bool)
         if edge_mask.shape != (space.num_edges,):
@@ -262,12 +245,9 @@ class ThresholdGraph:
         self.n = n
         self.edge_mask = _frozen(edge_mask)
         self.edge_indices = _frozen(np.flatnonzero(edge_mask))
-        if tails is None:
-            tails, heads = space.pair_arrays(self.edge_indices)
+        tails, heads = space.pair_arrays(self.edge_indices)
         self.tails = _frozen(tails)
         self.heads = _frozen(heads)
-        self._indptr = None
-        self._nbrs = None
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "ThresholdGraph":
@@ -285,29 +265,8 @@ class ThresholdGraph:
     def edge_count(self) -> int:
         return int(self.edge_indices.size)
 
-    def edges(self):
-        """Edge list as (i, j) pairs with i < j."""
-        return list(zip(self.tails.tolist(), self.heads.tolist()))
-
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.edge_mask[EdgeSpace(self.n).index(i, j)])
-
-    def _build_adjacency(self):
-        ends = np.concatenate([self.tails, self.heads])
-        other = np.concatenate([self.heads, self.tails])
-        order = np.argsort(ends, kind="stable")
-        counts = np.bincount(ends, minlength=self.n)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)])
-        self._nbrs = other[order]
-
-    def neighbors(self, v: int) -> np.ndarray:
-        if self._indptr is None:
-            self._build_adjacency()
-        return self._nbrs[self._indptr[v] : self._indptr[v + 1]]
-
-    def adjacency(self):
-        """Adjacency lists, one array per vertex."""
-        return [self.neighbors(v) for v in range(self.n)]
 
     def degrees(self) -> np.ndarray:
         deg = np.bincount(self.tails, minlength=self.n)

@@ -75,8 +75,8 @@ def sample_simplex_batch(model: SimplexModel, rng: SeededRng, count: int) -> np.
 def sample_product_exponential(rates, space: EdgeSpace, rng: SeededRng) -> WeightVector:
     """Independent exponential coordinates; edge e appears below p w.p. 1 - exp(-lambda_e p)."""
     lam = np.broadcast_to(np.asarray(rates, dtype=float), (space.num_edges,))
-    if not np.all(lam > 0):
-        raise ValueError("exponential rates must be positive")
+    if not np.all((lam > 0) & (lam < np.inf)):
+        raise ValueError("exponential rates must be finite and positive")
     return WeightVector(space, rng.exponential(space.num_edges) / lam)
 
 
@@ -119,8 +119,8 @@ class DensityModel:
     @classmethod
     def product_exponential(cls, rates, space: EdgeSpace) -> "DensityModel":
         lam = np.broadcast_to(np.asarray(rates, dtype=float), (space.num_edges,)).copy()
-        if not np.all(lam > 0):
-            raise ValueError("exponential rates must be positive")
+        if not np.all((lam > 0) & (lam < np.inf)):
+            raise ValueError("exponential rates must be finite and positive")
         lam.flags.writeable = False
         return cls("exponential", space, rates=lam)
 

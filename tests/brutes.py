@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: boolean matrix powers for reachability,
 full enumeration over Prufer sequences for spanning trees, permutation scans
-for assignments and tours, inclusion-exclusion over the exact absence formula.
+for matchings, assignments and tours, inclusion-exclusion over the exact absence formula.
 These never share code with the implementations they check.
 """
 
@@ -137,6 +137,14 @@ def prim_weight(x):
         for u in best:
             best[u] = min(best[u], w[v, u])
     return total
+
+
+def perfect_matching_brute(adj):
+    """Does some bijection of [0, n/2) onto [n/2, n) use only edges of adj?"""
+    half = adj.shape[0] // 2
+    return any(
+        all(adj[i, half + perm[i]] for i in range(half)) for perm in itertools.permutations(range(half))
+    )
 
 
 def assignment_brute(matrix):

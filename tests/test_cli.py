@@ -4,6 +4,49 @@ import pytest
 from simplexgraphs.cli import main
 
 
+def assert_one_line_config_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "4", "--L", "-2"],
+        ["sample", "--n", "1"],
+        ["sample", "--n", "4", "--model", "ball", "--radius", "nan"],
+        ["sample", "--n", "4", "--model", "exponential", "--rate", "inf"],
+        ["sample", "--n", "4", "--trials", "-1"],
+        ["oracle", "--n", "4", "--L", "-3"],
+        ["oracle", "--n", "4", "--L", "nan"],
+        ["mst", "--n", "6", "--d", "dvalues:-1x6"],
+        ["mst", "--n", "6", "--d", "dvalues:nanx6"],
+        ["mst", "--n", "6", "--d", "dvalues:1xabc"],
+        ["mst", "--n", "1"],
+        ["mst", "--n", "6", "--trials", "-1"],
+        ["atsp", "--n", "1"],
+        ["atsp", "--n", "6", "--trials", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["kind=connectivity\np=0.3\nL=-1", "kind=connectivity\np=0.3\nL=inf",
+     "kind=connectivity\np=0.3\nalpha=dvalues:nanx6", "kind=mst\nL=-1", "kind=atsp\nL=inf"],
+)
+def test_bad_sweep_config_exit_2(tmp_path, capsys, setting):
+    config = tmp_path / "conf.txt"
+    config.write_text(f"{setting}\nn=6\ntrials=2\nseed=2\n")
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert_one_line_config_error(capsys)
+
+
 class TestSweepCommand:
     def test_writes_csv_and_exits_zero(self, tmp_path):
         config = tmp_path / "conf.txt"

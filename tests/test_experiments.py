@@ -25,6 +25,7 @@ from simplexgraphs import (
     threshold_transition_experiment,
     wilson_interval,
 )
+from simplexgraphs.experiments import _build_context, _run_trial, _summarize, resolve_dvalues
 
 BASIC = """
 kind=marginals
@@ -100,7 +101,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "setting",
         ["model=ball\nradius=nan", "model=ball\nradius=inf", "model=exponential\nrate=nan", "alpha=const:abc",
-         "alpha=const:inf", "alpha=uniform:nan", "alpha=unknown:1"],
+         "alpha=const:inf", "alpha=uniform:nan", "alpha=unknown:1", "alpha=dvalues:nanx8"],
     )
     def test_bad_model_parameter_is_config_error(self, setting):
         cfg = parse_config(f"kind=connectivity\nn=8\np=0.3\n{setting}\ntrials=1\nseed=0\n")
@@ -111,6 +112,29 @@ class TestConfigParsing:
     def test_bad_beta_is_config_error(self, beta):
         with pytest.raises(ConfigError, match="beta"):
             run_sweep(ExperimentConfig(kind="atsp", n=8, trials=1, seed=0, beta=beta))
+
+    @pytest.mark.parametrize("kind", ["moments", "mst", "atsp"])
+    @pytest.mark.parametrize("L", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_budget_is_config_error(self, kind, L):
+        with pytest.raises(ConfigError, match="budget"):
+            run_sweep(ExperimentConfig(kind=kind, n=6, trials=1, seed=0, L=L, p_values=(0.1,)))
+
+    @pytest.mark.parametrize(
+        "spec", ["dvalues:-1x6", "dvalues:0x6", "dvalues:nanx6", "dvalues:infx6", "dvalues:1xabc", "dvalues:abcx6",
+                 "dvalues:1x6,2x-2", "dvalues:1x6,2"],
+    )
+    def test_bad_dvalues_are_config_errors(self, spec):
+        with pytest.raises(ConfigError, match="dvalues"):
+            resolve_dvalues(spec, 6)
+
+    def test_workers_capped_at_cpu_count(self):
+        # parsing only: a config over the cap must never reach a pool
+        cpus = os.cpu_count() or 1
+        text = "kind=moments\nn=6\np=0.1\ntrials=1\nseed=0\nworkers={}\n"
+        assert parse_config(text.format(cpus)).workers == cpus
+        for workers in (cpus + 1, 100_000, 0):
+            with pytest.raises(ConfigError, match="workers"):
+                parse_config(text.format(workers))
 
     def test_theta_schedule_validation(self):
         with pytest.raises(ConfigError):
@@ -220,14 +244,16 @@ class TestRunSweep:
 
 
 class TestImportCost:
-    def test_tour_sweeps_import_no_scipy_solvers(self):
-        # scipy.optimize (~22 MB) and scipy.sparse.csgraph (~9.5 MB) are
-        # test references only; the tour kernels must not pull them in
+    def test_benchmarked_sweeps_import_no_scipy_solvers(self):
+        # scipy.optimize (~22 MB) and scipy.sparse.csgraph (~9.5 MB) are test
+        # references or matching-only; the benchmarked sweep kinds must not pull them in
         code = (
             "import sys\n"
             "from simplexgraphs import ExperimentConfig, run_sweep\n"
             "run_sweep(ExperimentConfig(kind='atsp', n=12, trials=1, seed=0))\n"
             "run_sweep(ExperimentConfig(kind='mst', n=20, trials=1, seed=0))\n"
+            "run_sweep(ExperimentConfig(kind='connectivity', n=30, trials=1, seed=0, p_mode='clogn', c_values=(0.0,)))\n"
+            "run_sweep(ExperimentConfig(kind='diameter', n=30, trials=1, seed=0, p_mode='theta', theta=0.6))\n"
             "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.csgraph') if m in sys.modules))\n"
         )
         src = str(Path(simplexgraphs.__file__).resolve().parent.parent)
@@ -273,6 +299,10 @@ class TestTransition:
         assert res.freq_above > res.freq_below
         assert res.below_interval[0] <= res.freq_below <= res.below_interval[1]
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ConfigError, match="trials"):
+            threshold_transition_experiment(SimplexModel.uniform(10), 0.3, -1, seed=1)
+
     def test_m_hypothesis_warning(self):
         space = EdgeSpace(30)
         alpha = np.ones(space.num_edges)
@@ -287,6 +317,10 @@ class TestMstExperiment:
     def test_wrong_n_rejected(self):
         with pytest.raises(ConfigError):
             mst_experiment(DecomposableWeights(np.ones(6)), 7, 5, seed=1)
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ConfigError, match="trials"):
+            mst_experiment(DecomposableWeights(np.ones(6)), 6, -1, seed=1)
 
     def test_too_many_values_rejected(self):
         d = np.concatenate([np.full(5, 0.8 + 0.1 * k) for k in range(5)])
@@ -326,6 +360,41 @@ class TestAtspExperiment:
         assert row.mean_tour_over_optimal >= 1.0
         assert row.bound_M == 1.0
 
+    def test_bad_size_rejected(self):
+        with pytest.raises(ConfigError, match="n >= 2"):
+            atsp_experiment("ones", (8, 1), trials=2, seed=1)
+
     def test_larger_n_skips_optimum(self):
         rows = atsp_experiment("ones", (16,), trials=2, seed=17)
         assert math.isnan(rows[0].mean_tour_over_optimal)
+
+
+class TestNamedExperimentsAreSweeps:
+    """The named experiments run a sweep's trials and summaries: equal numbers, not just equal laws."""
+
+    def test_mst_experiment(self):
+        res = mst_experiment(DecomposableWeights(np.ones(12)), 12, trials=15, seed=21)
+        s = run_sweep(ExperimentConfig(kind="mst", n=12, trials=15, seed=21)).summaries[0]
+        assert (res.mc_mean, res.mc_se) == (s["mean"], s["se"])
+
+    def test_atsp_experiment_two_sizes(self):
+        rows = atsp_experiment("uniform:2", (9, 20), trials=4, seed=22)
+        for n_index, (row, n) in enumerate(zip(rows, (9, 20))):
+            # size i runs on streams (i, t), so only the first size is a plain sweep
+            ctx = _build_context(ExperimentConfig(kind="atsp", n=n, trials=4, seed=22, beta="uniform:2"))
+            s = _summarize(ctx, n_index, math.inf, [_run_trial(ctx, n_index, math.inf, t) for t in range(4)])
+            np.testing.assert_equal(
+                (row.mean_tour_over_assignment, row.se_tour_over_assignment, row.mean_tour_over_optimal,
+                 row.mean_cycles, row.bound_M),
+                (s["mean_ratio"], s["se_ratio"], s["mean_tour_over_opt"], s["mean_cycles"], ctx.atsp_model.M),
+            )
+        first = run_sweep(ExperimentConfig(kind="atsp", n=9, trials=4, seed=22, beta="uniform:2")).summaries[0]
+        assert rows[0].mean_tour_over_assignment == first["mean_ratio"]
+
+    def test_threshold_transition_experiment(self):
+        res = threshold_transition_experiment(SimplexModel.uniform(40), 0.3, trials=25, seed=23)
+        cfg = ExperimentConfig(kind="connectivity", n=40, trials=25, seed=23, p_mode="p0eps", eps=0.3)
+        below, above = run_sweep(cfg).summaries
+        assert (below["p"], above["p"]) == ((1 - 0.3) * res.p0, (1 + 0.3) * res.p0)
+        assert (res.freq_below, res.below_interval) == (below["freq"], (below["wilson_lo"], below["wilson_hi"]))
+        assert (res.freq_above, res.above_interval) == (above["freq"], (above["wilson_lo"], above["wilson_hi"]))

@@ -13,6 +13,7 @@ from brutes import (
     components_brute,
     diameter_brute,
     mst_weight_brute,
+    perfect_matching_brute,
     prim_weight,
 )
 from simplexgraphs import (
@@ -197,6 +198,16 @@ class TestBipartiteMatching:
             after = bipartite_perfect_matching(g2)
             if before:
                 assert after
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(half=st.integers(1, 5), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_property_against_brute_force(self, half, density, seed):
+        n = 2 * half
+        rng = np.random.default_rng(seed)
+        adj = np.triu(rng.random((n, n)) < density, 1)
+        adj |= adj.T
+        assert bipartite_perfect_matching(graph_from_adj(adj)) == perfect_matching_brute(adj)
 
 
 class TestHamiltonian:

@@ -9,16 +9,13 @@ from simplexgraphs import (
     SimplexModel,
     ThresholdGraph,
     WeightVector,
-    edge_index,
-    edge_pair,
     threshold,
-    vertex_alpha,
 )
 
 
 class TestEdgeIndex:
     def test_first_lexicographic_pair(self):
-        assert edge_index(EdgeSpace(4), 0, 1) == 0
+        assert EdgeSpace(4).index(0, 1) == 0
 
     def test_last_pair_n4(self):
         # enumerate all 6 pairs lexicographically: (2,3) comes last
@@ -89,14 +86,14 @@ class TestSimplexModel:
     def test_vertex_alpha_all_ones(self):
         m = SimplexModel.uniform(4)
         for v in range(4):
-            assert vertex_alpha(m, v) == pytest.approx(3.0)
+            assert m.vertex_alpha(v) == pytest.approx(3.0)
 
     def test_vertex_alpha_decomposable_hand_value(self):
         # d = (1, 2, 3): alpha_0 = 1*2 + 1*3 = 5
         m = DecomposableWeights(np.array([1.0, 2.0, 3.0])).to_simplex_model()
-        assert vertex_alpha(m, 0) == pytest.approx(5.0)
-        assert vertex_alpha(m, 1) == pytest.approx(2.0 + 6.0)
-        assert vertex_alpha(m, 2) == pytest.approx(3.0 + 6.0)
+        assert m.vertex_alpha(0) == pytest.approx(5.0)
+        assert m.vertex_alpha(1) == pytest.approx(2.0 + 6.0)
+        assert m.vertex_alpha(2) == pytest.approx(3.0 + 6.0)
 
     def test_vertex_alpha_double_counts_edges(self):
         rng = np.random.default_rng(5)
@@ -199,16 +196,15 @@ class TestThreshold:
         x = WeightVector(EdgeSpace(8), rng.uniform(0, 1, 28))
         g = threshold(x, 0.4)
         space = EdgeSpace(8)
-        from_lists = {
-            (min(v, int(w)), max(v, int(w)))
-            for v in range(8)
-            for w in g.neighbors(v)
-        }
+        from_ends = set(zip(g.tails.tolist(), g.heads.tolist()))
         from_mask = {space.pair(e) for e in g.edge_indices.tolist()}
-        assert from_lists == from_mask
-        # bitmap agrees with has_edge
-        for i, j in from_mask:
-            assert g.has_edge(i, j)
+        assert from_ends == from_mask
+        assert (g.tails < g.heads).all()
+        # bitmap agrees with has_edge, in both orientations
+        for i in range(8):
+            for j in range(8):
+                if i != j:
+                    assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in from_mask)
 
     def test_from_edges_round_trip(self):
         g = ThresholdGraph.from_edges(5, [(0, 1), (3, 4), (1, 2)])
@@ -222,4 +218,4 @@ class TestThreshold:
             threshold(x, 0.5)
 
     def test_edge_pair_alias(self):
-        assert edge_pair(EdgeSpace(4), 5) == (2, 3)
+        assert EdgeSpace(4).pair(5) == (2, 3)

@@ -153,8 +153,12 @@ class TestExponentialSampler:
         assert density.second_moment(0) == pytest.approx(2.0 / 4.0)
 
     def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            sample_product_exponential(-1.0, EdgeSpace(3), SeededRng(0, 0))
+        space = EdgeSpace(3)
+        for rate in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rate"):
+                sample_product_exponential(rate, space, SeededRng(0, 0))
+            with pytest.raises(ValueError, match="rate"):
+                DensityModel.product_exponential(rate, space)
 
     def test_ks(self):
         space = EdgeSpace(3)
