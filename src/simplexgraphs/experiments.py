@@ -232,7 +232,9 @@ def resolve_alpha(spec: str, space: EdgeSpace, seed: int) -> np.ndarray:
 def resolve_dvalues(spec: str, n: int) -> np.ndarray:
     """Per-vertex factors from 'ones' or 'dvalues:<v>x<count>,...' (counts sum to n).
 
-    Every factor must be finite and positive, and every count a non-negative integer.
+    Every factor must be finite and positive, every count a non-negative
+    integer, and every coefficient d_v * d_w the factors build must be finite
+    and positive too.
     """
     if n < 2:
         raise ConfigError(f"need n >= 2, got {n}")
@@ -255,6 +257,12 @@ def resolve_dvalues(spec: str, n: int) -> np.ndarray:
         values.extend([value] * count)
     if len(values) != n:
         raise ConfigError(f"dvalues counts sum to {len(values)}, config says n={n}")
+    # Rounding is monotone, so the two smallest and the two largest factors
+    # bound every product d_v * d_w with v != w.
+    d = sorted(values)
+    lo, hi = d[0] * d[1], d[-2] * d[-1]
+    if not (lo > 0 and hi < math.inf):
+        raise ConfigError(f"dvalues {spec!r}: the products d_v*d_w run from {lo:g} to {hi:g}, need finite and positive")
     return np.asarray(values)
 
 

@@ -134,6 +134,11 @@ class SimplexModel:
         return cls(space, np.ones(space.num_edges), float(L) if L is not None else float(space.num_edges), M=1.0)
 
     @cached_property
+    def _unit_alpha(self) -> bool:
+        """Every coefficient is exactly 1.0, so a sampler may skip dividing by alpha."""
+        return bool(np.all(self.alpha == 1.0))
+
+    @cached_property
     def _vertex_alphas(self) -> np.ndarray:
         if self.space.directed:
             raise ValueError("per-vertex alpha sums are defined for undirected spaces")

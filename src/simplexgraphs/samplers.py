@@ -15,6 +15,11 @@ Rejection-free, O(N), and trivially seedable.
 
 Exponential variates come from the inverse CDF -log1p(-U) on a counter-based
 generator (Philox), so parallel trials split streams without state handoff.
+The samplers work in place on the buffer the generator fills: every step
+after the draw is one ufunc with ``out=``, so a draw at n=3000 (4.5e6
+coordinates) touches one 36 MB array instead of one per arithmetic step.
+The float operations and their order are those of the allocating formulas,
+so the output is bit-identical to them.
 """
 
 from __future__ import annotations
@@ -46,8 +51,12 @@ class SeededRng:
         return self._gen.random(size)
 
     def exponential(self, size=None):
-        u = self._gen.random(size)
-        return -np.log1p(-u)
+        """Unit exponentials -log1p(-U), computed in place on the fresh uniforms."""
+        e = np.asarray(self._gen.random(size))
+        np.negative(e, out=e)
+        np.log1p(e, out=e)
+        np.negative(e, out=e)
+        return e if size is not None else e[()]  # one draw: a scalar, not a 0-d array
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
@@ -59,11 +68,19 @@ def sample_simplex(model: SimplexModel, rng: SeededRng) -> WeightVector:
 
 
 def sample_simplex_batch(model: SimplexModel, rng: SeededRng, count: int) -> np.ndarray:
-    """``count`` uniform draws, one per row; the fast path for experiments."""
+    """``count`` uniform draws, one per row; the fast path for experiments.
+
+    The rows are the first N columns of the (count, N+1) exponentials buffer.
+    """
     N = model.space.num_edges
     e = rng.exponential((count, N + 1))
-    y = model.L * e[:, :N] / e.sum(axis=1, keepdims=True)
-    x = y / model.alpha
+    S = e.sum(axis=1, keepdims=True)
+    # x = L * e / S / alpha on the first N columns of e, in that order
+    x = e[:, :N]
+    np.multiply(x, model.L, out=x)
+    np.divide(x, S, out=x)
+    if not model._unit_alpha:  # x / 1.0 == x
+        np.divide(x, model.alpha, out=x)
     # einsum stays on one thread; a BLAS matrix-vector product here spins
     # idle threads that compete with the other trial workers.
     budget = np.einsum("ij,j->i", x, model.alpha)
@@ -77,7 +94,8 @@ def sample_product_exponential(rates, space: EdgeSpace, rng: SeededRng) -> Weigh
     lam = np.broadcast_to(np.asarray(rates, dtype=float), (space.num_edges,))
     if not np.all((lam > 0) & (lam < np.inf)):
         raise ValueError("exponential rates must be finite and positive")
-    return WeightVector(space, rng.exponential(space.num_edges) / lam)
+    e = rng.exponential(space.num_edges)
+    return WeightVector(space, np.divide(e, lam, out=e))
 
 
 def sample_orthant_ball(radius: float, space: EdgeSpace, rng: SeededRng) -> WeightVector:
@@ -92,8 +110,9 @@ def sample_orthant_ball(radius: float, space: EdgeSpace, rng: SeededRng) -> Weig
     N = space.num_edges
     g = rng.standard_normal(N)
     u = float(rng.uniform())
-    r = radius * u ** (1.0 / N)
-    return WeightVector(space, np.abs(g) * (r / np.linalg.norm(g)))
+    scale = radius * u ** (1.0 / N) / np.linalg.norm(g)
+    np.abs(g, out=g)
+    return WeightVector(space, np.multiply(g, scale, out=g))
 
 
 @dataclass(frozen=True)

@@ -201,3 +201,25 @@ def expected_mst_weight_exact(n, L=None):
     for m in range(N):
         total += (avg_kappa[m] - 1.0) * L / ((N - m) * (N + 1))
     return total
+
+
+def simplex_batch_reference(model, rng, count):
+    """The allocating N+1-exponentials formula: a fresh array at every step."""
+    N = model.space.num_edges
+    e = -np.log1p(-rng.uniform((count, N + 1)))
+    y = model.L * e[:, :N] / e.sum(axis=1, keepdims=True)
+    return y / model.alpha
+
+
+def product_exponential_reference(rates, space, rng):
+    """Independent exponential coordinates, allocating: -log1p(-U) / lambda."""
+    return -np.log1p(-rng.uniform(space.num_edges)) / rates
+
+
+def orthant_ball_reference(radius, space, rng):
+    """Orthant-ball point, allocating: |g| * (R U^(1/N) / ||g||)."""
+    N = space.num_edges
+    g = rng.standard_normal(N)
+    u = float(rng.uniform())
+    r = radius * u ** (1.0 / N)
+    return np.abs(g) * (r / np.linalg.norm(g))

@@ -23,6 +23,10 @@ def assert_one_line_config_error(capsys):
         ["mst", "--n", "6", "--d", "dvalues:-1x6"],
         ["mst", "--n", "6", "--d", "dvalues:nanx6"],
         ["mst", "--n", "6", "--d", "dvalues:1xabc"],
+        ["mst", "--n", "4", "--d", "dvalues:1e-300x4"],
+        ["mst", "--n", "4", "--d", "dvalues:1e200x4"],
+        ["sample", "--n", "4", "--alpha", "dvalues:1e-300x4"],
+        ["sample", "--n", "4", "--alpha", "dvalues:1e200x4"],
         ["mst", "--n", "1"],
         ["mst", "--n", "6", "--trials", "-1"],
         ["atsp", "--n", "1"],
@@ -38,7 +42,8 @@ def test_bad_input_exit_2(capsys, argv):
 @pytest.mark.parametrize(
     "setting",
     ["kind=connectivity\np=0.3\nL=-1", "kind=connectivity\np=0.3\nL=inf",
-     "kind=connectivity\np=0.3\nalpha=dvalues:nanx6", "kind=mst\nL=-1", "kind=atsp\nL=inf"],
+     "kind=connectivity\np=0.3\nalpha=dvalues:nanx6", "kind=connectivity\np=0.3\nalpha=dvalues:1e-300x6",
+     "kind=mst\nalpha=dvalues:1e200x6", "kind=mst\nL=-1", "kind=atsp\nL=inf"],
 )
 def test_bad_sweep_config_exit_2(tmp_path, capsys, setting):
     config = tmp_path / "conf.txt"

@@ -121,7 +121,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "spec", ["dvalues:-1x6", "dvalues:0x6", "dvalues:nanx6", "dvalues:infx6", "dvalues:1xabc", "dvalues:abcx6",
-                 "dvalues:1x6,2x-2", "dvalues:1x6,2"],
+                 "dvalues:1x6,2x-2", "dvalues:1x6,2", "dvalues:1e-300x6", "dvalues:1e200x6",
+                 "dvalues:1e-200x2,1x4", "dvalues:1e160x2,1x4"],
     )
     def test_bad_dvalues_are_config_errors(self, spec):
         with pytest.raises(ConfigError, match="dvalues"):

@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2_contingency
 
+from brutes import orthant_ball_reference, product_exponential_reference, simplex_batch_reference
 from simplexgraphs import (
+    DecomposableWeights,
     DensityModel,
     EdgeSpace,
     SeededRng,
@@ -16,6 +18,7 @@ from simplexgraphs import (
     sample_simplex,
     sample_simplex_batch,
 )
+from simplexgraphs.atsp import row_symmetric_model
 
 KS_LIMIT = 0.0062  # 1e5-sample critical value used throughout
 
@@ -124,6 +127,55 @@ class TestSimplexSampler:
         assert np.array_equal(a, b)
         c = sample_simplex_batch(model, SeededRng(99, 6), 50)
         assert not np.array_equal(a, c)
+
+
+def _ones_but_one(n, value):
+    space = EdgeSpace(n)
+    alpha = np.ones(space.num_edges)
+    alpha[-1] = value
+    return SimplexModel(space, alpha, float(space.num_edges))
+
+
+class TestInPlaceDrawsMatchReference:
+    """The in-place samplers equal the allocating formulas in tests/brutes.py bit for bit."""
+
+    @pytest.mark.parametrize(
+        "model, count",
+        [
+            (SimplexModel.uniform(40), 1),
+            (SimplexModel.uniform(300), 1),
+            (DecomposableWeights(np.random.default_rng(41).uniform(0.5, 2.0, 30)).to_simplex_model(), 1),
+            (_ones_but_one(25, 2.0), 1),
+            (_ones_but_one(25, 0.5), 1),
+            (SimplexModel.uniform(20, L=7.5), 1),
+            (SimplexModel(EdgeSpace(15), np.random.default_rng(42).uniform(0.2, 3.0, 105), 33.0), 5),
+            (SimplexModel.uniform(12), 40),
+            (row_symmetric_model(np.random.default_rng(43).uniform(0.5, 2.0, 20), 20), 2),
+        ],
+        ids=["unit-40", "unit-300", "decomposable", "ones-but-2", "ones-but-half", "L-not-N", "general-count-5",
+             "unit-count-40", "row-symmetric"],
+    )
+    def test_simplex_batch(self, model, count):
+        got = sample_simplex_batch(model, SeededRng(17, 3), count)
+        assert np.array_equal(got, simplex_batch_reference(model, SeededRng(17, 3), count))
+
+    @pytest.mark.parametrize("size", [None, 7, (3, 11)])
+    def test_exponential_is_inverse_cdf(self, size):
+        got = SeededRng(5, 9).exponential(size)
+        assert np.array_equal(got, -np.log1p(-SeededRng(5, 9).uniform(size)))
+        assert np.shape(got) == np.shape(SeededRng(5, 9).uniform(size))
+
+    @pytest.mark.parametrize("rates", [1.0, 2.5, np.linspace(0.5, 3.0, 190)])
+    def test_product_exponential(self, rates):
+        space = EdgeSpace(20)
+        got = sample_product_exponential(rates, space, SeededRng(6, 1)).x
+        assert np.array_equal(got, product_exponential_reference(rates, space, SeededRng(6, 1)))
+
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    def test_orthant_ball(self, radius):
+        space = EdgeSpace(20)
+        got = sample_orthant_ball(radius, space, SeededRng(7, 1)).x
+        assert np.array_equal(got, orthant_ball_reference(radius, space, SeededRng(7, 1)))
 
 
 class TestExponentialSampler:
