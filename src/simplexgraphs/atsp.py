@@ -282,7 +282,7 @@ def row_symmetric_model(beta, n: int, L: float | None = None) -> SimplexModel:
         raise ValueError("head-vertex weights must be positive")
     space = EdgeSpace(n, directed=True)
     _, heads = space.all_pairs()
-    M = float(max(beta.max(), 1.0 / beta.min()))
+    M = max(float(beta.max()), 1.0 / float(beta.min()))
     return SimplexModel(space, beta[heads], float(L) if L is not None else float(space.num_edges), M=M)
 
 

@@ -100,7 +100,7 @@ def _cmd_oracle(args) -> int:
             raise ConfigError(f"--p must be finite and non-negative, got {args.p}")
         profile = oracle.IsolationProfile(model)
         print(f"xi_total={profile.total(args.p):.12g}")
-        if np.all(model.alpha == 1.0):
+        if model.unit_alpha:
             q = oracle.edge_prob_q(model, args.p)
             print(f"q={q:.12g}")
             print(f"expected_edges={oracle.expected_edge_count(model, args.p):.12g}")

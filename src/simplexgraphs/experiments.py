@@ -216,8 +216,8 @@ def load_config(path: str) -> ExperimentConfig:
 # --- model materialization -----------------------------------------------------
 
 
-def resolve_alpha(spec: str, space: EdgeSpace, seed: int) -> np.ndarray:
-    """Coefficient vector from an alpha spec string.
+def resolve_alpha(spec: str, space: EdgeSpace, seed: int) -> float | np.ndarray:
+    """Coefficients from an alpha spec string: one float for a constant, else a vector.
 
     ones | const:<x> | uniform:<M> (iid in [1/M, M], reserved stream) |
     dvalues:<v>x<count>,... (decomposable per-vertex factors)
@@ -268,13 +268,16 @@ def resolve_dvalues(spec: str, n: int) -> np.ndarray:
 
 def resolve_beta(spec: str, n: int, seed: int) -> np.ndarray:
     """Head-vertex weights of the ATSP model: ones | const:<x> | uniform:<M>."""
-    return _resolve_coefficients(spec, n, seed, "beta")
+    return np.broadcast_to(_resolve_coefficients(spec, n, seed, "beta"), (n,)).copy()
 
 
-def _resolve_coefficients(spec: str, count: int, seed: int, name: str) -> np.ndarray:
-    """The ones/const/uniform specs shared by alpha and beta; every value is finite and positive."""
+def _resolve_coefficients(spec: str, count: int, seed: int, name: str) -> float | np.ndarray:
+    """The ones/const/uniform specs shared by alpha and beta; every value is finite and positive.
+
+    A constant comes back as one float, ``uniform:<M>`` as ``count`` draws.
+    """
     if spec in ("ones", "1"):
-        return np.ones(count)
+        return 1.0
     kind, _, number = spec.partition(":")
     if kind not in ("const", "uniform"):
         raise ConfigError(f"unknown {name} spec {spec!r}")
@@ -285,7 +288,7 @@ def _resolve_coefficients(spec: str, count: int, seed: int, name: str) -> np.nda
     if kind == "const":
         if not 0 < value < math.inf:
             raise ConfigError(f"{name} spec {spec!r}: the constant must be finite and positive")
-        return np.full(count, value)
+        return value
     if not 1 <= value < math.inf:
         raise ConfigError(f"{name} spec {spec!r}: uniform:M needs a finite M >= 1")
     rng = SeededRng(seed, _ALPHA_STREAM)
@@ -308,6 +311,16 @@ def _budget(L: float | None) -> float | None:
     return L
 
 
+def _drawable(model: SimplexModel) -> SimplexModel:
+    """``model``, once L / alpha_e is finite for every coefficient; otherwise a draw would overflow to inf."""
+    if not math.isfinite(model.L / model.alpha_min):
+        raise ConfigError(
+            f"budget L={model.L:g} over the smallest coefficient {model.alpha_min:g} overflows; "
+            "a draw from this model is not finite"
+        )
+    return model
+
+
 def build_model(
     n: int,
     model: str = "simplex",
@@ -320,14 +333,17 @@ def build_model(
     """The weight density of a sweep or CLI command, plus its simplex model (None off the simplex).
 
     Bad parameters are config errors: n < 2, a budget L or exponential rate or
-    ball radius that is not finite and positive, and bad alpha specs.
+    ball radius that is not finite and positive, bad alpha specs, and
+    coefficients so small that L / alpha_e overflows.
     """
     if n < 2:
         raise ConfigError(f"need n >= 2, got {n}")
     space = EdgeSpace(n)
     if model == "simplex":
         L = _budget(L)
-        simplex = SimplexModel(space, resolve_alpha(alpha, space, seed), L if L is not None else float(space.num_edges))
+        simplex = _drawable(
+            SimplexModel(space, resolve_alpha(alpha, space, seed), L if L is not None else float(space.num_edges))
+        )
         return simplex, DensityModel.from_simplex(simplex)
     if model == "exponential":
         if not 0 < rate < math.inf:
@@ -358,10 +374,11 @@ def _build_context(config: ExperimentConfig) -> _SweepContext:
     config.validate()
     if config.kind == "atsp":
         beta = resolve_beta(config.beta, config.n, config.seed)
-        return _SweepContext(config, (math.inf,), atsp_model=row_symmetric_model(beta, config.n, _budget(config.L)))
+        model = _drawable(row_symmetric_model(beta, config.n, _budget(config.L)))
+        return _SweepContext(config, (math.inf,), atsp_model=model)
     if config.kind == "mst":
         d = resolve_dvalues(config.alpha, config.n)
-        model = DecomposableWeights(d).to_simplex_model(_budget(config.L))
+        model = _drawable(DecomposableWeights(d).to_simplex_model(_budget(config.L)))
         return _SweepContext(config, (math.inf,), simplex=model)
     simplex, density = build_model(
         config.n, config.model, config.alpha, config.L, config.rate, config.radius, config.seed
@@ -528,7 +545,7 @@ def _summarize(ctx: _SweepContext, p_index: int, p: float, records: list[TrialRe
         var = float(values.var(ddof=1)) if values.size > 1 else math.nan
         expected = math.nan
         bound = math.nan
-        if ctx.simplex is not None and np.all(ctx.simplex.alpha == 1.0):
+        if ctx.simplex is not None and ctx.simplex.unit_alpha:
             expected = oracle.expected_edge_count(ctx.simplex, p)
             bound = oracle.edge_count_variance_bound(ctx.simplex, p)
         out.update(mean=mean, var=var, expected=expected, var_bound=bound)
@@ -538,15 +555,15 @@ def _summarize(ctx: _SweepContext, p_index: int, p: float, records: list[TrialRe
         tour_over_opt = np.asarray(
             [r.aux[0] / r.aux[3] for r in records if math.isfinite(r.aux[3])]
         )
+        mean_ratio, sd_ratio = _mean_sd(ratios)
         out.update(
-            mean_ratio=float(ratios.mean()) if ratios.size else math.nan,
-            se_ratio=float(ratios.std(ddof=1) / math.sqrt(ratios.size)) if ratios.size > 1 else math.nan,
+            mean_ratio=mean_ratio,
+            se_ratio=sd_ratio / math.sqrt(ratios.size) if ratios.size > 1 else math.nan,
             mean_cycles=float(cycles.mean()) if cycles.size else math.nan,
             mean_tour_over_opt=float(tour_over_opt.mean()) if tour_over_opt.size else math.nan,
         )
     else:  # giant, mst
-        mean = float(values.mean()) if values.size else math.nan
-        sd = float(values.std(ddof=1)) if values.size > 1 else math.nan
+        mean, sd = _mean_sd(values)
         out.update(
             mean=mean,
             sd=sd,
@@ -555,6 +572,25 @@ def _summarize(ctx: _SweepContext, p_index: int, p: float, records: list[TrialRe
             max=float(values.max()) if values.size else math.nan,
         )
     return out
+
+
+def _mean_sd(values: np.ndarray) -> tuple[float, float]:
+    """Mean and sample standard deviation (nan where undefined), safe at any finite scale.
+
+    Both are taken on the values times 2^-k, k an even exponent that brings
+    the largest magnitude near 1, then scaled back, so the squared deviations
+    cannot overflow.  A power of two scales every step exactly (the variance
+    by 2^-2k, whose square root is 2^-k), so the bits equal the unscaled
+    formulas' wherever those neither overflow nor underflow.
+    """
+    if not values.size:
+        return math.nan, math.nan
+    top = float(np.abs(values).max())
+    k = math.frexp(top)[1] & ~1 if 0 < top < math.inf else 0
+    scaled = np.ldexp(values, -k)
+    mean = math.ldexp(float(scaled.mean()), k)
+    sd = math.ldexp(float(scaled.std(ddof=1)), k) if values.size > 1 else math.nan
+    return mean, sd
 
 
 def _oracle_value(ctx: _SweepContext, p_index: int, p: float) -> float:
@@ -566,7 +602,7 @@ def _oracle_value(ctx: _SweepContext, p_index: int, p: float) -> float:
         and cfg.p_mode == "clogn"
         and cfg.model == "simplex"
         and ctx.simplex is not None
-        and np.all(ctx.simplex.alpha == 1.0)
+        and ctx.simplex.unit_alpha
     ):
         c = cfg.c_values[p_index]
         return math.exp(-math.exp(-c))
@@ -666,7 +702,7 @@ def threshold_transition_experiment(model: SimplexModel, eps: float, trials: int
     config = ExperimentConfig(kind="connectivity", n=model.space.n, trials=trials, seed=seed, p_mode="p0eps", eps=eps)
     config.validate()
     n = model.space.n
-    bound_m = float(max(model.alpha.max(), 1.0 / model.alpha.min()))
+    bound_m = max(model.alpha_max, 1.0 / model.alpha_min)
     if bound_m > math.log(n) ** 0.25:
         warnings.warn(
             f"M={bound_m:.3g} exceeds (ln n)^(1/4)={math.log(n) ** 0.25:.3g}; "
@@ -712,8 +748,8 @@ def mst_experiment(weights: DecomposableWeights, n: int, trials: int, seed: int)
         mode = "grouped"
     else:
         raise ConfigError("no series mode available: n > 20 with more than 4 distinct factors")
+    ctx = _SweepContext(config, (math.inf,), simplex=_drawable(weights.to_simplex_model()))
     series = oracle.mst_series(weights, mode=mode)
-    ctx = _SweepContext(config, (math.inf,), simplex=weights.to_simplex_model())
     s = _summarize(ctx, 0, math.inf, _run_trials(ctx, [(0, math.inf)]))
     return MstExperimentResult(s["mean"], s["se"], series, abs(s["mean"] - series) / series, trials, mode)
 

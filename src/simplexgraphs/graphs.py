@@ -109,13 +109,15 @@ def diameter(g: ThresholdGraph) -> int | float:
     """Longest shortest path; math.inf when disconnected.
 
     Runs a BFS from every source at once.  Sources are taken in blocks of
-    64*W; vertex v holds W uint64 words in which bit s is set once v has been
-    reached from source s.  One BFS level ORs each vertex's neighbours'
-    frontier words into it, as two ``bitwise_or.reduceat`` passes over the
-    edge list (tails are sorted in canonical edge order; heads are sorted
-    once per graph), so the cost is a few numpy calls per level, not one BFS
-    per source.  W is the most words whose gather over the edges fits
-    ``_GATHER_BYTES``.
+    64*W; word w of vertex v holds 64 bits, bit s set once v has been reached
+    from source 64*w + s of the block.  The words are stored word-major, as W
+    rows of n, so each pass below runs along contiguous rows.  One BFS level
+    ORs each vertex's neighbours' frontier words into it, as two
+    ``bitwise_or.reduceat`` passes over the edge list (tails are sorted in
+    canonical edge order; heads are sorted once per graph), so the cost is a
+    few numpy calls per level, not one BFS per source.  W is at most the
+    number of words whose gather over the edges fits ``_GATHER_BYTES``, and
+    the blocks are balanced so the last one is not mostly empty.
     """
     n, m = g.n, g.edge_count
     tails, heads = g.tails, g.heads
@@ -126,25 +128,27 @@ def diameter(g: ThresholdGraph) -> int | float:
     t_starts = np.flatnonzero(np.diff(tails, prepend=-1))
     h_starts = np.flatnonzero(np.diff(heads_sorted, prepend=-1))
     t_verts, h_verts = tails[t_starts], heads_sorted[h_starts]
-    words = max(1, min(-(-n // 64), _GATHER_BYTES // (8 * m)))
+    nwords = -(-n // 64)
+    blocks = -(-nwords // max(1, min(nwords, _GATHER_BYTES // (8 * m))))
+    words = -(-nwords // blocks)
     one = np.uint64(1)
     ecc_max = 1
     for s0 in range(0, n, 64 * words):
         s1 = min(n, s0 + 64 * words)
         src = np.arange(s0, s1)
         # level 1: each block source reaches itself and its neighbours
-        reach = np.zeros((n, words), dtype=np.uint64)
+        reach = np.zeros((words, n), dtype=np.uint64)
         for ends, others in ((src, src), (tails, heads), (heads_sorted, tails_by_head)):
             lo, hi = np.searchsorted(ends, (s0, s1))
             off = ends[lo:hi] - s0
-            np.bitwise_or.at(reach, (others[lo:hi], off >> 6), one << (off & 63).astype(np.uint64))
-        full = np.bitwise_or.reduce(reach, axis=0)
+            np.bitwise_or.at(reach, (off >> 6, others[lo:hi]), one << (off & 63).astype(np.uint64))
+        full = np.bitwise_or.reduce(reach, axis=1, keepdims=True)
         frontier = reach
         dist = 1
         while not (reach == full).all():
             nxt = np.zeros_like(reach)
-            nxt[t_verts] = np.bitwise_or.reduceat(np.take(frontier, heads, axis=0), t_starts, axis=0)
-            nxt[h_verts] |= np.bitwise_or.reduceat(np.take(frontier, tails_by_head, axis=0), h_starts, axis=0)
+            nxt[:, t_verts] = np.bitwise_or.reduceat(np.take(frontier, heads, axis=1), t_starts, axis=1)
+            nxt[:, h_verts] |= np.bitwise_or.reduceat(np.take(frontier, tails_by_head, axis=1), h_starts, axis=1)
             nxt &= ~reach
             if not nxt.any():
                 return math.inf

@@ -14,7 +14,7 @@ can be shared freely across concurrent trial workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -101,27 +101,36 @@ class SimplexModel:
     """Weight budget polytope {x >= 0 : sum_e alpha_e * x_e <= L}.
 
     ``alpha`` holds one positive coefficient per coordinate in canonical edge
-    order.  ``L`` defaults to the coordinate count N, the normalization under
-    which the threshold formulas below take their simplest form.  ``M``, when
-    declared, asserts 1/M <= alpha_e <= M for every coordinate.
+    order.  A scalar alpha is stored once, as a read-only zero-stride view of
+    length N, so a constant model costs no O(N) memory to build.  ``L``
+    defaults to the coordinate count N, the normalization under which the
+    threshold formulas below take their simplest form.  ``M``, when declared,
+    asserts 1/M <= alpha_e <= M for every coordinate.  ``alpha_min`` and
+    ``alpha_max`` are the coefficient range, taken once at construction.
     """
 
     space: EdgeSpace
     alpha: np.ndarray
     L: float
     M: float | None = None
+    alpha_min: float = field(init=False, repr=False, compare=False)
+    alpha_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        alpha = np.broadcast_to(np.asarray(self.alpha, dtype=float), (self.space.num_edges,))
-        object.__setattr__(self, "alpha", _frozen(alpha.copy()))
-        if not np.all(self.alpha > 0):
+        a = np.asarray(self.alpha, dtype=float)
+        shape = (self.space.num_edges,)
+        alpha = np.broadcast_to(a.copy(), shape) if a.ndim == 0 else _frozen(np.broadcast_to(a, shape).copy())
+        object.__setattr__(self, "alpha", alpha)
+        lo, hi = float(a.min()), float(a.max())
+        object.__setattr__(self, "alpha_min", lo)
+        object.__setattr__(self, "alpha_max", hi)
+        if not lo > 0:
             raise ValueError("all alpha coefficients must be positive")
         if not (self.L > 0):
             raise ValueError(f"budget L must be positive, got {self.L}")
         if self.M is not None:
             if self.M < 1:
                 raise ValueError("boundedness parameter M must be >= 1")
-            lo, hi = self.alpha.min(), self.alpha.max()
             if lo < 1.0 / self.M - 1e-12 or hi > self.M + 1e-12:
                 raise ValueError(
                     f"alpha range [{lo:g}, {hi:g}] violates declared bound [1/{self.M:g}, {self.M:g}]"
@@ -131,12 +140,15 @@ class SimplexModel:
     def uniform(cls, n: int, L: float | None = None, directed: bool = False) -> "SimplexModel":
         """All-ones coefficients; the exchangeable case."""
         space = EdgeSpace(n, directed=directed)
-        return cls(space, np.ones(space.num_edges), float(L) if L is not None else float(space.num_edges), M=1.0)
+        return cls(space, 1.0, float(L) if L is not None else float(space.num_edges), M=1.0)
 
-    @cached_property
-    def _unit_alpha(self) -> bool:
-        """Every coefficient is exactly 1.0, so a sampler may skip dividing by alpha."""
-        return bool(np.all(self.alpha == 1.0))
+    @property
+    def unit_alpha(self) -> bool:
+        """Every coefficient is exactly 1.0.
+
+        The all-ones closed forms then apply, and a sampler may skip dividing by alpha.
+        """
+        return self.alpha_min == self.alpha_max == 1.0
 
     @cached_property
     def _vertex_alphas(self) -> np.ndarray:
@@ -236,42 +248,43 @@ class WeightVector:
 class ThresholdGraph:
     """Graph on [n] keeping exactly the coordinates with weight <= p.
 
-    Stores a flat boolean mask over coordinates (for coupling checks) plus
-    the decoded endpoint arrays, in canonical edge order with tails < heads.
+    Stores the kept coordinates as strictly increasing edge indices plus
+    their decoded endpoint arrays, in canonical edge order with tails < heads.
     """
 
-    __slots__ = ("n", "edge_mask", "edge_indices", "tails", "heads")
+    __slots__ = ("n", "edge_indices", "tails", "heads")
 
-    def __init__(self, n: int, edge_mask: np.ndarray):
+    def __init__(self, n: int, edge_indices: np.ndarray):
         space = EdgeSpace(n)
-        edge_mask = np.asarray(edge_mask, dtype=bool)
-        if edge_mask.shape != (space.num_edges,):
-            raise ValueError(f"edge mask must have {space.num_edges} entries")
+        idx = np.asarray(edge_indices, dtype=np.int64)
+        increasing = idx.ndim == 1 and not np.any(idx[1:] <= idx[:-1])
+        if not increasing or (idx.size and (idx[0] < 0 or idx[-1] >= space.num_edges)):
+            raise ValueError(f"edge indices must be strictly increasing coordinates in [0, {space.num_edges})")
         self.n = n
-        self.edge_mask = _frozen(edge_mask)
-        self.edge_indices = _frozen(np.flatnonzero(edge_mask))
+        self.edge_indices = _frozen(idx)
         tails, heads = space.pair_arrays(self.edge_indices)
         self.tails = _frozen(tails)
         self.heads = _frozen(heads)
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "ThresholdGraph":
-        """Build directly from an iterable of vertex pairs (tests, CLI)."""
+        """Build directly from an iterable of vertex pairs (tests, CLI); repeated pairs count once."""
         space = EdgeSpace(n)
-        mask = np.zeros(space.num_edges, dtype=bool)
         pairs = list(pairs)
-        if pairs:
-            i = np.asarray([p[0] for p in pairs])
-            j = np.asarray([p[1] for p in pairs])
-            mask[space.index_arrays(i, j)] = True
-        return cls(n, mask)
+        i = np.asarray([p[0] for p in pairs], dtype=np.int64)
+        j = np.asarray([p[1] for p in pairs], dtype=np.int64)
+        if np.any(i == j) or np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)):
+            raise ValueError(f"edge pairs must join two distinct vertices in [0, {n})")
+        return cls(n, np.unique(space.index_arrays(i, j)))
 
     @property
     def edge_count(self) -> int:
         return int(self.edge_indices.size)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.edge_mask[EdgeSpace(self.n).index(i, j)])
+        e = EdgeSpace(self.n).index(i, j)
+        k = int(np.searchsorted(self.edge_indices, e))
+        return k < self.edge_indices.size and int(self.edge_indices[k]) == e
 
     def degrees(self) -> np.ndarray:
         deg = np.bincount(self.tails, minlength=self.n)
@@ -285,4 +298,4 @@ def threshold(x: WeightVector, p: float) -> ThresholdGraph:
         raise ValueError(f"threshold must be non-negative, got {p}")
     if x.space.directed:
         raise ValueError("thresholding is defined on undirected weight vectors")
-    return ThresholdGraph(x.space.n, x.x <= p)
+    return ThresholdGraph(x.space.n, np.flatnonzero(x.x <= p))

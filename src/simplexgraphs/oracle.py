@@ -87,7 +87,7 @@ def prob_absent_present(model: SimplexModel, S, T, p: float) -> AbsencePresenceE
 
 
 def _require_all_ones(model: SimplexModel):
-    if not np.all(model.alpha == 1.0):
+    if not model.unit_alpha:
         raise ValueError("this closed form is specific to all-ones coefficients")
 
 

@@ -79,7 +79,7 @@ def sample_simplex_batch(model: SimplexModel, rng: SeededRng, count: int) -> np.
     x = e[:, :N]
     np.multiply(x, model.L, out=x)
     np.divide(x, S, out=x)
-    if not model._unit_alpha:  # x / 1.0 == x
+    if not model.unit_alpha:  # x / 1.0 == x
         np.divide(x, model.alpha, out=x)
     # einsum stays on one thread; a BLAS matrix-vector product here spins
     # idle threads that compete with the other trial workers.

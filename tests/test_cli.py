@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,9 @@ def assert_one_line_config_error(capsys):
         ["mst", "--n", "4", "--d", "dvalues:1e200x4"],
         ["sample", "--n", "4", "--alpha", "dvalues:1e-300x4"],
         ["sample", "--n", "4", "--alpha", "dvalues:1e200x4"],
+        ["sample", "--n", "4", "--alpha", "const:1e-320"],
+        ["sample", "--n", "4", "--alpha", "dvalues:1e-160x4"],
+        ["mst", "--n", "4", "--d", "dvalues:1e-160x4"],
         ["mst", "--n", "1"],
         ["mst", "--n", "6", "--trials", "-1"],
         ["atsp", "--n", "1"],
@@ -165,6 +171,17 @@ class TestMstCommand:
         fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
         assert fields["series[exact]"]
         assert float(fields["relative_gap"]) < 0.5
+
+    def test_huge_weights_give_a_finite_standard_error(self, capsys):
+        # products d_v*d_w = 1e-300 make MST weights near 1e300, whose squared
+        # deviations overflow unless the summary scales them first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mst", "--n", "4", "--d", "dvalues:1e-150x4", "--trials", "3"]) == 0
+        captured = capsys.readouterr()
+        fields = dict(line.split("=", 1) for line in captured.out.strip().split("\n"))
+        assert math.isfinite(float(fields["mc_se"])) and float(fields["mc_se"]) > 0
+        assert captured.err == ""
 
 
 class TestAtspCommand:

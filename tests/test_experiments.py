@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,24 @@ class TestRunSweep:
         a = run_sweep(cfg).csv_text
         b = run_sweep(cfg).csv_text
         assert a == b
+
+
+class TestConstantAlphaContext:
+    @pytest.mark.parametrize("alpha", ["ones", "const:2"])
+    def test_diameter_context_allocates_no_coefficient_vector(self, alpha):
+        # at n=3000 a vector of N = 4.5e6 coefficients would take 36 MB
+        cfg = ExperimentConfig(kind="diameter", n=3000, trials=1, seed=0, alpha=alpha, p_mode="theta", theta=0.45)
+        tracemalloc.start()
+        try:
+            ctx = _build_context(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        alpha_view = ctx.simplex.alpha
+        assert alpha_view.shape == (ctx.simplex.space.num_edges,)
+        assert alpha_view.strides == (0,) and not alpha_view.flags.writeable
+        assert ctx.simplex.unit_alpha == (alpha == "ones")
 
 
 class TestImportCost:

@@ -148,6 +148,26 @@ class TestConnectivityAndDiameter:
         ):
             assert_diameter_matches_references(random_graph_adj(n, seed, reach, density, isolated, cut))
 
+    @pytest.mark.parametrize("words", [2, 3])
+    @pytest.mark.parametrize("n", [129, 130, 193, 257])
+    def test_multi_word_blocks(self, monkeypatch, n, words):
+        # a budget of 8*words bytes per edge allows blocks of up to `words`
+        # words; balancing then shrinks a 3-word limit to 2 at n=193 (four
+        # words in two blocks), and every n here ends in a partial last word
+        for seed, (reach, density, isolated, cut) in enumerate(
+            [(1, 0.0, 0, 0), (3, 0.01, 0, 0), (n, 0.03, 0, 0), (5, 0.0, 1, 0), (n, 0.02, 0, n // 2)]
+        ):
+            adj = random_graph_adj(n, seed, reach, density, isolated, cut)
+            monkeypatch.setattr(graphs, "_GATHER_BYTES", 8 * words * max(1, int(np.triu(adj).sum())))
+            assert_diameter_matches_references(adj)
+        # a Hamilton path whose two ends share one source word (a word of one
+        # vertex holds one end): only a BFS from that word sees the diameter n-1
+        monkeypatch.setattr(graphs, "_GATHER_BYTES", 8 * words * (n - 1))
+        for a in range(0, n, 64):
+            b = min(a + 63, n - 1)
+            order = [a] + [v for v in range(n) if v not in (a, b)] + ([b] if b != a else [])
+            assert diameter(ThresholdGraph.from_edges(n, zip(order, order[1:]))) == n - 1
+
     def test_erdos_renyi_cross_model_sanity(self):
         # independent-coordinate sampler at edge prob 2 ln n / n: connected in
         # at least 90% of trials

@@ -106,6 +106,50 @@ class TestSimplexModel:
         assert m.alpha_sum([0, 2, 5]) == pytest.approx(3.0)
         assert m.alpha_sum([]) == 0.0
 
+    def test_constant_alpha_stored_once(self):
+        m = SimplexModel(EdgeSpace(30), 2.5, 10.0)
+        assert m.alpha.shape == (435,) and m.alpha.strides == (0,)
+        assert not m.alpha.flags.writeable
+        assert (m.alpha_min, m.alpha_max) == (2.5, 2.5) and not m.unit_alpha
+        assert SimplexModel.uniform(30).unit_alpha
+        # the model keeps its own copy of a 0-d input
+        a = np.array(3.0)
+        m = SimplexModel(EdgeSpace(4), a, 6.0)
+        a[()] = 5.0
+        assert m.alpha[0] == 3.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_constant_alpha_positive_required(self, bad):
+        with pytest.raises(ValueError):
+            SimplexModel(EdgeSpace(4), bad, 6.0)
+
+    @pytest.mark.parametrize("value", [1.0, 2.0, 0.37])
+    def test_constant_alpha_equals_the_equal_vector(self, value):
+        # draws, oracle values and vertex sums are bit-equal whether the
+        # constant is stored once or as a full vector
+        from simplexgraphs import DensityModel, IsolationProfile, SeededRng, prob_all_absent, solve_p0
+        from simplexgraphs.oracle import sigma_simplex
+        from simplexgraphs.samplers import marginal_cdf, sample_simplex_batch
+
+        space = EdgeSpace(40)
+        scalar = SimplexModel(space, value, 700.0)
+        vector = SimplexModel(space, np.full(space.num_edges, value), 700.0)
+        assert scalar.alpha.strides == (0,) and vector.alpha.strides == (8,)
+        assert scalar.unit_alpha == vector.unit_alpha == (value == 1.0)
+        a = sample_simplex_batch(scalar, SeededRng(3, 1), 4)
+        b = sample_simplex_batch(vector, SeededRng(3, 1), 4)
+        assert np.array_equal(a, b)
+        assert np.array_equal(scalar.vertex_alphas(), vector.vertex_alphas())
+        assert solve_p0(scalar) == solve_p0(vector)
+        for p in (0.01, 0.5, 3.0):
+            assert prob_all_absent(scalar, [0, 7, 100], p) == prob_all_absent(vector, [0, 7, 100], p)
+            assert IsolationProfile(scalar).total(p) == IsolationProfile(vector).total(p)
+            assert marginal_cdf(DensityModel.from_simplex(scalar), 5, p) == marginal_cdf(
+                DensityModel.from_simplex(vector), 5, p
+            )
+        assert sigma_simplex(scalar, 9) == sigma_simplex(vector, 9)
+        assert scalar.alpha_sum([1, 2, 3]) == vector.alpha_sum([1, 2, 3])
+
 
 class TestDecomposableWeights:
     def test_total_and_subset(self):
@@ -196,21 +240,38 @@ class TestThreshold:
         x = WeightVector(EdgeSpace(8), rng.uniform(0, 1, 28))
         g = threshold(x, 0.4)
         space = EdgeSpace(8)
+        assert np.array_equal(g.edge_indices, np.flatnonzero(x.x <= 0.4))
         from_ends = set(zip(g.tails.tolist(), g.heads.tolist()))
-        from_mask = {space.pair(e) for e in g.edge_indices.tolist()}
-        assert from_ends == from_mask
+        from_indices = {space.pair(e) for e in g.edge_indices.tolist()}
+        assert from_ends == from_indices
         assert (g.tails < g.heads).all()
-        # bitmap agrees with has_edge, in both orientations
+        # the sorted edge indices agree with has_edge, in both orientations
         for i in range(8):
             for j in range(8):
                 if i != j:
-                    assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in from_mask)
+                    assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in from_indices)
 
     def test_from_edges_round_trip(self):
         g = ThresholdGraph.from_edges(5, [(0, 1), (3, 4), (1, 2)])
         assert g.edge_count == 3
         assert g.has_edge(4, 3)
         assert not g.has_edge(0, 4)
+
+    def test_from_edges_sorts_and_merges_repeats(self):
+        g = ThresholdGraph.from_edges(5, [(3, 4), (1, 0), (0, 1), (2, 1)])
+        space = EdgeSpace(5)
+        assert g.edge_indices.tolist() == sorted({space.index(0, 1), space.index(1, 2), space.index(3, 4)})
+        assert ThresholdGraph.from_edges(5, []).edge_count == 0
+
+    @pytest.mark.parametrize("pairs", [[(2, 2)], [(0, 5)], [(-1, 2)]])
+    def test_from_edges_rejects_bad_pairs(self, pairs):
+        with pytest.raises(ValueError):
+            ThresholdGraph.from_edges(5, pairs)
+
+    @pytest.mark.parametrize("indices", [[3, 1], [2, 2], [-1, 0], [0, 10], [[0, 1]]])
+    def test_rejects_indices_not_strictly_increasing_in_range(self, indices):
+        with pytest.raises(ValueError):
+            ThresholdGraph(5, np.asarray(indices))
 
     def test_directed_vectors_not_thresholdable(self):
         x = WeightVector(EdgeSpace(3, directed=True), np.ones(6))
