@@ -277,10 +277,10 @@ def held_karp(costs: CostMatrix) -> tuple[float, Tour]:
 
 def row_symmetric_model(beta, n: int, L: float | None = None) -> SimplexModel:
     """Directed simplex whose coefficient depends only on the edge's head vertex."""
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
-    if not np.all(beta > 0):
-        raise ValueError("head-vertex weights must be positive")
     space = EdgeSpace(n, directed=True)
+    beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
+    if not np.all((beta > 0) & (beta < np.inf)):
+        raise ValueError("head-vertex weights beta must be finite and positive")
     _, heads = space.all_pairs()
     M = max(float(beta.max()), 1.0 / float(beta.min()))
     return SimplexModel(space, beta[heads], float(L) if L is not None else float(space.num_edges), M=M)

@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import experiments, oracle
+from .atsp import CostMatrix, held_karp, hungarian, patch
 from .errors import CapacityError, ConfigError
 from .experiments import (
     atsp_experiment,
@@ -22,6 +24,7 @@ from .experiments import (
     resolve_dvalues,
     run_sweep,
 )
+from .graphs import components, mst_weight
 from .model import DecomposableWeights, EdgeSpace, SimplexModel, threshold
 from .samplers import DensityModel, SeededRng, marginal_cdf, sample_simplex
 
@@ -89,6 +92,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.p is not None and not 0 <= args.p < math.inf:
+        raise ConfigError(f"--p must be finite and non-negative, got {args.p}")
     model, _ = build_model(args.n, alpha=args.alpha, L=args.L, seed=args.seed)
     print(f"n={args.n}")
     print(f"N={model.space.num_edges}")
@@ -96,8 +101,6 @@ def _cmd_oracle(args) -> int:
     print(f"p0={oracle.solve_p0(model):.12g}")
     print(f"sigma2_e0={oracle.sigma_simplex(model, 0):.12g}")
     if args.p is not None:
-        if not 0 <= args.p < math.inf:
-            raise ConfigError(f"--p must be finite and non-negative, got {args.p}")
         profile = oracle.IsolationProfile(model)
         print(f"xi_total={profile.total(args.p):.12g}")
         if model.unit_alpha:
@@ -109,27 +112,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-        config.validate()
+    overrides = {key: v for key in ("seed", "trials", "out", "workers") if (v := getattr(args, key)) is not None}
+    config = replace(load_config(args.config), **overrides)
     result = run_sweep(config)
     if not config.out:
         sys.stdout.write(result.csv_text)
     else:
-        for s in result.summaries:
-            print("#summary," + ",".join(f"{k}={experiments._fmt(v)}" for k, v in s.items()))
+        sys.stdout.writelines(line + "\n" for line in result.csv_text.splitlines() if line.startswith("#summary,"))
     return 0
 
 
@@ -180,8 +169,6 @@ def _cmd_selftest(args) -> int:
     check("marginal CDF vs sampler", abs(freq - cdf) <= 4 * se, f"freq={freq:.4f} cdf={cdf:.4f}")
 
     g = threshold(xs[0], 1e9)
-    from .graphs import components, mst_weight
-
     check("complete graph connected", components(g).kappa == 1)
     w, tree = mst_weight(xs[0])
     check("spanning tree size", len(tree) == model.space.n - 1)
@@ -189,8 +176,6 @@ def _cmd_selftest(args) -> int:
     d4 = DecomposableWeights(np.ones(4))
     series = oracle.mst_series(d4, mode="exact")
     check("series hand value", abs(series - 1.1091037326388889) < 1e-12, f"series={series:.10f}")
-
-    from .atsp import CostMatrix, held_karp, hungarian, patch
 
     rng2 = SeededRng(11, 1)
     mat = rng2.uniform((6, 6)) + 0.01

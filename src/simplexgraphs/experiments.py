@@ -17,6 +17,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,20 @@ AUX_COLUMNS = {
 _BOOL_KINDS = ("connectivity", "matching", "hamilton", "marginals")
 
 
+@contextmanager
+def _config_errors():
+    """Report a model type's parameter check, a ValueError, as a one-line ConfigError.
+
+    ``EdgeSpace`` checks n, ``SimplexModel`` alpha and L, ``DensityModel`` rate and radius.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -80,13 +95,14 @@ class ExperimentConfig:
     workers: int = 1
     out: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Every config that exists is valid; alpha, L, rate, radius and beta are checked by the model built."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}")
-        if self.n < 2:
-            raise ConfigError(f"need n >= 2, got {self.n}")
+        with _config_errors():
+            space = EdgeSpace(self.n)
         if self.trials < 0:
             raise ConfigError("trials must be non-negative")
         cpus = os.cpu_count() or 1
@@ -121,12 +137,11 @@ class ExperimentConfig:
         elif self.p_mode == "theta":
             if self.theta is None or not (0 < self.theta < 1):
                 raise ConfigError("theta schedule needs theta in (0, 1)")
-        if self.kind == "marginals":
-            space = EdgeSpace(self.n)
-            if not 0 <= self.edge < space.num_edges:
-                raise ConfigError(f"marginal coordinate {self.edge} out of range")
+        if self.kind == "marginals" and not 0 <= self.edge < space.num_edges:
+            raise ConfigError(f"marginal coordinate {self.edge} out of range")
 
 
+# config key -> value parser; a key names the ExperimentConfig field of its name, or of _FIELD_NAMES
 _CONFIG_KEYS = {
     "kind": str,
     "model": str,
@@ -147,6 +162,7 @@ _CONFIG_KEYS = {
     "workers": int,
     "out": str,
 }
+_FIELD_NAMES = {"p": "p_values", "c": "c_values"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -166,46 +182,23 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def config_from_mapping(data: dict[str, str]) -> ExperimentConfig:
+    """Config from key -> value text; a key left out or given an empty value takes its field's default."""
     unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    given = {key: text for key, text in data.items() if text != ""}
     for required in ("kind", "n", "trials", "seed"):
-        if required not in data:
+        if required not in given:
             raise ConfigError(f"missing required config key {required!r}")
-
-    def get(key, default=None):
-        if key not in data or data[key] == "":
-            return default
+    fields = {}
+    for key, text in given.items():
         conv = _CONFIG_KEYS[key]
         try:
-            if conv == "floats":
-                return tuple(float(tok) for tok in data[key].split(","))
-            return conv(data[key])
+            value = tuple(float(tok) for tok in text.split(",")) if conv == "floats" else conv(text)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {data[key]!r}") from exc
-
-    cfg = ExperimentConfig(
-        kind=get("kind"),
-        n=get("n"),
-        trials=get("trials"),
-        seed=get("seed"),
-        model=get("model", "simplex"),
-        alpha=get("alpha", "ones"),
-        L=get("L"),
-        rate=get("rate", 1.0),
-        radius=get("radius", 1.0),
-        p_mode=get("p_mode", "explicit"),
-        p_values=get("p", ()),
-        c_values=get("c", ()),
-        eps=get("eps"),
-        theta=get("theta"),
-        beta=get("beta", "ones"),
-        edge=get("edge", 0),
-        workers=get("workers", 1),
-        out=get("out"),
-    )
-    cfg.validate()
-    return cfg
+            raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
+        fields[_FIELD_NAMES.get(key, key)] = value
+    return ExperimentConfig(**fields)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -236,8 +229,8 @@ def resolve_dvalues(spec: str, n: int) -> np.ndarray:
     integer, and every coefficient d_v * d_w the factors build must be finite
     and positive too.
     """
-    if n < 2:
-        raise ConfigError(f"need n >= 2, got {n}")
+    with _config_errors():
+        EdgeSpace(n)  # one factor per vertex: n >= 2
     if spec in ("ones", "1"):
         return np.ones(n)
     if not spec.startswith("dvalues:"):
@@ -272,9 +265,10 @@ def resolve_beta(spec: str, n: int, seed: int) -> np.ndarray:
 
 
 def _resolve_coefficients(spec: str, count: int, seed: int, name: str) -> float | np.ndarray:
-    """The ones/const/uniform specs shared by alpha and beta; every value is finite and positive.
+    """The ones/const/uniform specs shared by alpha and beta.
 
-    A constant comes back as one float, ``uniform:<M>`` as ``count`` draws.
+    A constant comes back as one float, ``uniform:<M>`` as ``count`` draws;
+    the model built from them checks that they are finite and positive.
     """
     if spec in ("ones", "1"):
         return 1.0
@@ -286,8 +280,6 @@ def _resolve_coefficients(spec: str, count: int, seed: int, name: str) -> float 
     except ValueError:
         raise ConfigError(f"bad number in {name} spec {spec!r}") from None
     if kind == "const":
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{name} spec {spec!r}: the constant must be finite and positive")
         return value
     if not 1 <= value < math.inf:
         raise ConfigError(f"{name} spec {spec!r}: uniform:M needs a finite M >= 1")
@@ -301,24 +293,6 @@ class _SweepContext:
     schedule: tuple[float, ...]
     density: DensityModel | None = None
     simplex: SimplexModel | None = None
-    atsp_model: SimplexModel | None = None
-
-
-def _budget(L: float | None) -> float | None:
-    """The budget L as given (None means the coordinate count N); it must be finite and positive."""
-    if L is not None and not 0 < L < math.inf:
-        raise ConfigError(f"budget L must be finite and positive, got {L}")
-    return L
-
-
-def _drawable(model: SimplexModel) -> SimplexModel:
-    """``model``, once L / alpha_e is finite for every coefficient; otherwise a draw would overflow to inf."""
-    if not math.isfinite(model.L / model.alpha_min):
-        raise ConfigError(
-            f"budget L={model.L:g} over the smallest coefficient {model.alpha_min:g} overflows; "
-            "a draw from this model is not finite"
-        )
-    return model
 
 
 def build_model(
@@ -332,26 +306,18 @@ def build_model(
 ) -> tuple[SimplexModel | None, DensityModel]:
     """The weight density of a sweep or CLI command, plus its simplex model (None off the simplex).
 
-    Bad parameters are config errors: n < 2, a budget L or exponential rate or
-    ball radius that is not finite and positive, bad alpha specs, and
-    coefficients so small that L / alpha_e overflows.
+    A bad alpha spec, or a parameter the model types refuse, is a config error.
     """
-    if n < 2:
-        raise ConfigError(f"need n >= 2, got {n}")
-    space = EdgeSpace(n)
-    if model == "simplex":
-        L = _budget(L)
-        simplex = _drawable(
-            SimplexModel(space, resolve_alpha(alpha, space, seed), L if L is not None else float(space.num_edges))
-        )
-        return simplex, DensityModel.from_simplex(simplex)
-    if model == "exponential":
-        if not 0 < rate < math.inf:
-            raise ConfigError("exponential rate must be finite and positive")
-        return None, DensityModel.product_exponential(rate, space)
-    if not 0 < radius < math.inf:
-        raise ConfigError("ball radius must be finite and positive")
-    return None, DensityModel.orthant_ball(radius, space)
+    with _config_errors():
+        space = EdgeSpace(n)
+        if model == "simplex":
+            simplex = SimplexModel(
+                space, resolve_alpha(alpha, space, seed), L if L is not None else float(space.num_edges)
+            )
+            return simplex, DensityModel.from_simplex(simplex)
+        if model == "exponential":
+            return None, DensityModel.product_exponential(rate, space)
+        return None, DensityModel.orthant_ball(radius, space)
 
 
 def _schedule(config: ExperimentConfig, simplex: SimplexModel | None) -> tuple[float, ...]:
@@ -371,14 +337,13 @@ def _schedule(config: ExperimentConfig, simplex: SimplexModel | None) -> tuple[f
 
 
 def _build_context(config: ExperimentConfig) -> _SweepContext:
-    config.validate()
-    if config.kind == "atsp":
-        beta = resolve_beta(config.beta, config.n, config.seed)
-        model = _drawable(row_symmetric_model(beta, config.n, _budget(config.L)))
-        return _SweepContext(config, (math.inf,), atsp_model=model)
-    if config.kind == "mst":
-        d = resolve_dvalues(config.alpha, config.n)
-        model = _drawable(DecomposableWeights(d).to_simplex_model(_budget(config.L)))
+    if config.kind in ("atsp", "mst"):
+        with _config_errors():
+            if config.kind == "atsp":
+                beta = resolve_beta(config.beta, config.n, config.seed)
+                model = row_symmetric_model(beta, config.n, config.L)
+            else:
+                model = DecomposableWeights(resolve_dvalues(config.alpha, config.n)).to_simplex_model(config.L)
         return _SweepContext(config, (math.inf,), simplex=model)
     simplex, density = build_model(
         config.n, config.model, config.alpha, config.L, config.rate, config.radius, config.seed
@@ -409,7 +374,7 @@ def _run_trial(ctx: _SweepContext, p_index: int, p: float, trial: int) -> TrialR
     rng = SeededRng(cfg.seed, stream)
     kind = cfg.kind
     if kind == "atsp":
-        costs = sample_row_symmetric(ctx.atsp_model, rng)
+        costs = sample_row_symmetric(ctx.simplex, rng)
         assignment = hungarian(costs)
         tour = patch(assignment, costs)
         optimal = held_karp(costs)[0] if cfg.n <= 13 else math.nan
@@ -676,7 +641,7 @@ def connectivity_limit_experiment(n: int, c_values, trials: int, seed: int, work
                 frequency=s["freq"],
                 wilson_lo=s["wilson_lo"],
                 wilson_hi=s["wilson_hi"],
-                theory=math.exp(-math.exp(-c)),
+                theory=s["oracle"],
             )
         )
     return rows
@@ -700,7 +665,6 @@ def threshold_transition_experiment(model: SimplexModel, eps: float, trials: int
     The same trials as a connectivity sweep with ``p_mode=p0eps`` over ``model``.
     """
     config = ExperimentConfig(kind="connectivity", n=model.space.n, trials=trials, seed=seed, p_mode="p0eps", eps=eps)
-    config.validate()
     n = model.space.n
     bound_m = max(model.alpha_max, 1.0 / model.alpha_min)
     if bound_m > math.log(n) ** 0.25:
@@ -739,7 +703,6 @@ class MstExperimentResult:
 def mst_experiment(weights: DecomposableWeights, n: int, trials: int, seed: int) -> MstExperimentResult:
     """Monte Carlo mean spanning-tree weight vs the closed-form series (the trials of an mst sweep)."""
     config = ExperimentConfig(kind="mst", n=n, trials=trials, seed=seed)
-    config.validate()
     if weights.n != n:
         raise ConfigError(f"weights describe {weights.n} vertices, config says n={n}")
     if n <= 20:
@@ -748,7 +711,9 @@ def mst_experiment(weights: DecomposableWeights, n: int, trials: int, seed: int)
         mode = "grouped"
     else:
         raise ConfigError("no series mode available: n > 20 with more than 4 distinct factors")
-    ctx = _SweepContext(config, (math.inf,), simplex=_drawable(weights.to_simplex_model()))
+    with _config_errors():
+        simplex = weights.to_simplex_model()
+    ctx = _SweepContext(config, (math.inf,), simplex=simplex)
     series = oracle.mst_series(weights, mode=mode)
     s = _summarize(ctx, 0, math.inf, _run_trials(ctx, [(0, math.inf)]))
     return MstExperimentResult(s["mean"], s["se"], series, abs(s["mean"] - series) / series, trials, mode)
@@ -782,7 +747,7 @@ def atsp_experiment(beta_spec: str, n_values, trials: int, seed: int) -> list[At
                 se_tour_over_assignment=s["se_ratio"],
                 mean_tour_over_optimal=s["mean_tour_over_opt"],
                 mean_cycles=s["mean_cycles"],
-                bound_M=ctx.atsp_model.M,
+                bound_M=ctx.simplex.M,
             )
         )
     return rows

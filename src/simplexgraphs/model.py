@@ -14,10 +14,17 @@ can be shared freely across concurrent trial workers.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+# -log1p(-U) at the largest uniform double below 1, U = 1 - 2^-53: the largest
+# unit exponential a draw can return, and so the largest factor a simplex draw
+# multiplies its budget L by.
+MAX_UNIT_EXPONENTIAL = 53 * math.log(2)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -35,7 +42,7 @@ class EdgeSpace:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError(f"need at least 2 vertices, got n={self.n}")
+            raise ValueError(f"need n >= 2, got {self.n}")
 
     @property
     def num_edges(self) -> int:
@@ -107,6 +114,11 @@ class SimplexModel:
     threshold formulas below take their simplest form.  ``M``, when declared,
     asserts 1/M <= alpha_e <= M for every coordinate.  ``alpha_min`` and
     ``alpha_max`` are the coefficient range, taken once at construction.
+
+    Every model can be drawn from, and its laws evaluated, in floating point:
+    alpha is positive with ``N * alpha_max`` finite, and L is positive with
+    ``L * MAX_UNIT_EXPONENTIAL`` (so L <= ~4.89e306) and ``L / alpha_min``
+    finite and ``L / ((N+1) alpha_max)``, a coordinate's mean, normal.
     """
 
     space: EdgeSpace
@@ -124,10 +136,23 @@ class SimplexModel:
         lo, hi = float(a.min()), float(a.max())
         object.__setattr__(self, "alpha_min", lo)
         object.__setattr__(self, "alpha_max", hi)
-        if not lo > 0:
-            raise ValueError("all alpha coefficients must be positive")
-        if not (self.L > 0):
-            raise ValueError(f"budget L must be positive, got {self.L}")
+        if not (0 < lo and math.isfinite(hi * self.space.num_edges)):
+            raise ValueError(
+                f"alpha coefficients must be positive, with every sum alpha(S) finite, got the range [{lo:g}, {hi:g}]"
+            )
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"budget L must be finite and positive, got {self.L}")
+        # a draw forms L * E_e, E_e <= MAX_UNIT_EXPONENTIAL, and coordinates
+        # near L / ((N+1) alpha_e), up to L / alpha_min
+        if not (
+            math.isfinite(self.L * MAX_UNIT_EXPONENTIAL)
+            and math.isfinite(self.L / lo)
+            and self.L / hi / (self.space.num_edges + 1) >= sys.float_info.min
+        ):
+            raise ValueError(
+                f"budget L={self.L:g} with coefficients in [{lo:g}, {hi:g}] leaves the double range: a draw needs "
+                f"L * {MAX_UNIT_EXPONENTIAL:.4g} and L / alpha_min finite, and L / ((N+1) alpha_max) normal"
+            )
         if self.M is not None:
             if self.M < 1:
                 raise ValueError("boundedness parameter M must be >= 1")
@@ -191,8 +216,9 @@ class DecomposableWeights:
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
         object.__setattr__(self, "d", _frozen(d.copy()))
-        if d.ndim != 1 or d.size < 2:
-            raise ValueError("need a 1-D array of at least two vertex factors")
+        if d.ndim != 1:
+            raise ValueError("vertex factors must be a 1-D array")
+        EdgeSpace(d.size)  # one factor per vertex, n >= 2
         if not np.all(d > 0):
             raise ValueError("vertex factors must be positive")
         if self.omega is not None:

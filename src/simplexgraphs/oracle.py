@@ -21,7 +21,7 @@ from scipy.special import gammaln
 from ._numeric import log_binomial, pow_one_minus
 from .errors import CapacityError
 from .model import DecomposableWeights, SimplexModel
-from .samplers import DensityModel
+from .samplers import DensityModel, marginal_cdf
 
 
 def _check_threshold(p: float) -> None:
@@ -117,7 +117,10 @@ class IsolationProfile:
     def xi(self, p: float) -> np.ndarray:
         _check_threshold(p)
         av = self.model.vertex_alphas()
-        return pow_one_minus(av * p / self.model.L, self.model.space.num_edges)
+        # a ratio past the largest double is inf, and pow_one_minus clamps it to xi = 0, the exact value
+        with np.errstate(over="ignore"):
+            ratio = av * p / self.model.L
+        return pow_one_minus(ratio, self.model.space.num_edges)
 
     def xi_vertex(self, v: int, p: float) -> float:
         return float(self.xi(p)[v])
@@ -150,17 +153,13 @@ def solve_p0(model: SimplexModel) -> float:
 
 
 def sigma_simplex(model: SimplexModel, e: int) -> float:
-    """Second moment of coordinate e: 2 L^2 / (alpha_e^2 (N+1)(N+2)).
+    """Second moment of coordinate e, 2 L^2 / (alpha_e^2 (N+1)(N+2)) (see ``DensityModel.second_moment``).
 
-    Follows from the exact marginal law: the density of X_e is
-    N (alpha_e / L) (1 - alpha_e x / L)^(N-1), whose second moment is
-    2 L^2 / (alpha_e^2 (N+1)(N+2)).  Scales as alpha_e^{-2} and approaches
-    2 (L/N)^2 asymptotically.
+    Scales as alpha_e^{-2} and approaches 2 (L/N)^2 asymptotically.
     """
-    N = model.space.num_edges
-    if not 0 <= e < N:
+    if not 0 <= e < model.space.num_edges:
         raise ValueError(f"edge index {e} out of range")
-    return 2.0 * model.L**2 / (model.alpha[e] ** 2 * (N + 1) * (N + 2))
+    return DensityModel.from_simplex(model).second_moment(e)
 
 
 # --- spanning-tree series ----------------------------------------------------
@@ -273,8 +272,6 @@ def check_basic_bounds(model: DensityModel, e: int, grid) -> list[BoundCheck]:
     supported kind).  The lower bound is only guaranteed up to the marginal's
     standard deviation, so larger grid points are reported but skipped.
     """
-    from .samplers import marginal_cdf
-
     mode_value = model.mode_value(e)
     sd = model.std_dev(e)
     out = []

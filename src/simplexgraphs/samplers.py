@@ -25,13 +25,15 @@ so the output is bit-identical to them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, betaln
 
-from .model import EdgeSpace, SimplexModel, WeightVector
+from ._numeric import pow_one_minus
+from .model import MAX_UNIT_EXPONENTIAL, EdgeSpace, SimplexModel, WeightVector
 
 
 class SeededRng:
@@ -91,11 +93,7 @@ def sample_simplex_batch(model: SimplexModel, rng: SeededRng, count: int) -> np.
 
 def sample_product_exponential(rates, space: EdgeSpace, rng: SeededRng) -> WeightVector:
     """Independent exponential coordinates; edge e appears below p w.p. 1 - exp(-lambda_e p)."""
-    lam = np.broadcast_to(np.asarray(rates, dtype=float), (space.num_edges,))
-    if not np.all((lam > 0) & (lam < np.inf)):
-        raise ValueError("exponential rates must be finite and positive")
-    e = rng.exponential(space.num_edges)
-    return WeightVector(space, np.divide(e, lam, out=e))
+    return DensityModel.product_exponential(rates, space).sample(rng)
 
 
 def sample_orthant_ball(radius: float, space: EdgeSpace, rng: SeededRng) -> WeightVector:
@@ -105,14 +103,10 @@ def sample_orthant_ball(radius: float, space: EdgeSpace, rng: SeededRng) -> Weig
     R * U^(1/N)) reflected into the orthant; valid because the ball's
     uniform density is unchanged by coordinate sign flips.
     """
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be finite and positive, got {radius}")
-    N = space.num_edges
-    g = rng.standard_normal(N)
-    u = float(rng.uniform())
-    scale = radius * u ** (1.0 / N) / np.linalg.norm(g)
-    np.abs(g, out=g)
-    return WeightVector(space, np.multiply(g, scale, out=g))
+    return DensityModel.orthant_ball(radius, space).sample(rng)
+
+
+_MAX_RADIUS = sys.float_info.max / 2.0**64
 
 
 @dataclass(frozen=True)
@@ -137,16 +131,23 @@ class DensityModel:
 
     @classmethod
     def product_exponential(cls, rates, space: EdgeSpace) -> "DensityModel":
+        """Coordinate e ~ Exp(rates[e]); each rate is finite, and positive with MAX_UNIT_EXPONENTIAL / rate finite."""
         lam = np.broadcast_to(np.asarray(rates, dtype=float), (space.num_edges,)).copy()
-        if not np.all((lam > 0) & (lam < np.inf)):
-            raise ValueError("exponential rates must be finite and positive")
+        lo, hi = float(lam.min()), float(lam.max())
+        if not (0 < lo <= hi < math.inf and math.isfinite(MAX_UNIT_EXPONENTIAL / lo)):
+            raise ValueError(f"exponential rates must be finite and positive with a finite draw, got [{lo:g}, {hi:g}]")
         lam.flags.writeable = False
         return cls("exponential", space, rates=lam)
 
     @classmethod
     def orthant_ball(cls, radius: float, space: EdgeSpace) -> "DensityModel":
-        if not 0 < radius < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {radius}")
+        """Uniform over the orthant part of the ball; ``radius`` is positive with radius * 2^64 finite.
+
+        A draw divides the radius by the norm of a standard normal vector,
+        which falls below 2^-64 with probability under 1e-19.
+        """
+        if not 0 < radius <= _MAX_RADIUS:
+            raise ValueError(f"radius must be positive and at most {_MAX_RADIUS:.4g}, got {radius}")
         return cls("ball", space, radius=float(radius))
 
     # --- sampling -----------------------------------------------------------
@@ -154,9 +155,15 @@ class DensityModel:
     def sample(self, rng: SeededRng) -> WeightVector:
         if self.kind == "simplex":
             return sample_simplex(self.simplex, rng)
+        N = self.space.num_edges
         if self.kind == "exponential":
-            return sample_product_exponential(self.rates, self.space, rng)
-        return sample_orthant_ball(self.radius, self.space, rng)
+            e = rng.exponential(N)
+            return WeightVector(self.space, np.divide(e, self.rates, out=e))
+        g = rng.standard_normal(N)
+        u = float(rng.uniform())
+        scale = self.radius * u ** (1.0 / N) / np.linalg.norm(g)
+        np.abs(g, out=g)
+        return WeightVector(self.space, np.multiply(g, scale, out=g))
 
     # --- per-axis moments ----------------------------------------------------
 
@@ -164,12 +171,14 @@ class DensityModel:
         """E(X_e^2).
 
         Simplex: 2 L^2 / (alpha_e^2 (N+1)(N+2)), the value consistent with the
-        exact marginal law 1 - (1 - alpha_e p / L)^N.
+        exact marginal law 1 - (1 - alpha_e p / L)^N: the density of X_e is
+        N (alpha_e / L) (1 - alpha_e x / L)^(N-1).  It is formed from the ratio
+        L / alpha_e, so it overflows only where the value itself does.
         """
         N = self.space.num_edges
         if self.kind == "simplex":
-            m = self.simplex
-            return 2.0 * m.L**2 / (m.alpha[e] ** 2 * (N + 1) * (N + 2))
+            r = self.simplex.L / float(self.simplex.alpha[e])
+            return 2.0 * (r / (N + 1)) * (r / (N + 2))
         if self.kind == "exponential":
             return 2.0 / self.rates[e] ** 2
         return self.radius**2 / (N + 2)
@@ -230,8 +239,6 @@ def marginal_cdf(model: DensityModel, e: int, p: float) -> float:
     N = model.space.num_edges
     if model.kind == "simplex":
         m = model.simplex
-        from ._numeric import pow_one_minus
-
         return 1.0 - pow_one_minus(m.alpha[e] * p / m.L, N)
     if model.kind == "exponential":
         return -math.expm1(-model.rates[e] * p)

@@ -32,6 +32,8 @@ def assert_one_line_config_error(capsys):
         ["sample", "--n", "4", "--alpha", "dvalues:1e200x4"],
         ["sample", "--n", "4", "--alpha", "const:1e-320"],
         ["sample", "--n", "4", "--alpha", "dvalues:1e-160x4"],
+        ["sample", "--n", "4", "--L", "1.5e308", "--trials", "30"],
+        ["sample", "--n", "12", "--L", "1e-320"],
         ["mst", "--n", "4", "--d", "dvalues:1e-160x4"],
         ["mst", "--n", "1"],
         ["mst", "--n", "6", "--trials", "-1"],
@@ -49,11 +51,15 @@ def test_bad_input_exit_2(capsys, argv):
     "setting",
     ["kind=connectivity\np=0.3\nL=-1", "kind=connectivity\np=0.3\nL=inf",
      "kind=connectivity\np=0.3\nalpha=dvalues:nanx6", "kind=connectivity\np=0.3\nalpha=dvalues:1e-300x6",
-     "kind=mst\nalpha=dvalues:1e200x6", "kind=mst\nL=-1", "kind=atsp\nL=inf"],
+     "kind=mst\nalpha=dvalues:1e200x6", "kind=mst\nL=-1", "kind=atsp\nL=inf", "kind=atsp\nL=1.5e308",
+     "kind=", "kind=mst\nn=", "kind=mst\ntrials=", "kind=mst\nseed="],
 )
 def test_bad_sweep_config_exit_2(tmp_path, capsys, setting):
+    # n, trials and seed are valid unless the setting gives them
+    given = {line.split("=", 1)[0] for line in setting.splitlines()}
+    rest = "".join(f"{key}={value}\n" for key, value in (("n", 6), ("trials", 2), ("seed", 2)) if key not in given)
     config = tmp_path / "conf.txt"
-    config.write_text(f"{setting}\nn=6\ntrials=2\nseed=2\n")
+    config.write_text(f"{setting}\n{rest}")
     assert main(["sweep", "--config", str(config)]) == 2
     assert_one_line_config_error(capsys)
 
@@ -161,7 +167,7 @@ class TestOracleCommand:
     @pytest.mark.parametrize("p", ["nan", "inf", "-0.5"])
     def test_bad_threshold_exit_2(self, capsys, p):
         assert main(["oracle", "--n", "4", "--p", p]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        assert_one_line_config_error(capsys)
 
 
 class TestMstCommand:

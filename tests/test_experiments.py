@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("kind=moments\np=0.1\ntrials=1\nseed=0\n")
 
+    @pytest.mark.parametrize("key", ["kind", "n", "trials", "seed"])
+    def test_empty_required_value(self, key):
+        lines = {"kind": "moments", "n": "6", "p": "0.1", "trials": "1", "seed": "0"}
+        lines[key] = ""
+        with pytest.raises(ConfigError, match=f"missing required config key '{key}'"):
+            parse_config("".join(f"{k}={v}\n" for k, v in lines.items()))
+
+    def test_empty_optional_value_takes_the_default(self):
+        cfg = parse_config("kind=moments\nn=6\np=0.1\ntrials=1\nseed=0\nalpha=\nL=\nworkers=\nc=\nout=\n")
+        assert cfg == ExperimentConfig(kind="moments", n=6, trials=1, seed=0, p_values=(0.1,))
+
+    def test_replace_checks_the_overrides(self):
+        cfg = parse_config("kind=moments\nn=6\np=0.1\ntrials=1\nseed=0\n")
+        with pytest.raises(ConfigError, match="trials"):
+            replace(cfg, trials=-1)
+        with pytest.raises(ConfigError, match="n >= 2"):
+            replace(cfg, n=1)
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError):
             parse_config("kind=moments\nkind=moments\nn=4\np=0.1\ntrials=1\nseed=0\n")
@@ -115,7 +134,7 @@ class TestConfigParsing:
             run_sweep(ExperimentConfig(kind="atsp", n=8, trials=1, seed=0, beta=beta))
 
     @pytest.mark.parametrize("kind", ["moments", "mst", "atsp"])
-    @pytest.mark.parametrize("L", [-1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("L", [-1.0, 0.0, math.inf, math.nan, 1.5e308])
     def test_bad_budget_is_config_error(self, kind, L):
         with pytest.raises(ConfigError, match="budget"):
             run_sweep(ExperimentConfig(kind=kind, n=6, trials=1, seed=0, L=L, p_values=(0.1,)))
@@ -406,7 +425,7 @@ class TestNamedExperimentsAreSweeps:
             np.testing.assert_equal(
                 (row.mean_tour_over_assignment, row.se_tour_over_assignment, row.mean_tour_over_optimal,
                  row.mean_cycles, row.bound_M),
-                (s["mean_ratio"], s["se_ratio"], s["mean_tour_over_opt"], s["mean_cycles"], ctx.atsp_model.M),
+                (s["mean_ratio"], s["se_ratio"], s["mean_tour_over_opt"], s["mean_cycles"], ctx.simplex.M),
             )
         first = run_sweep(ExperimentConfig(kind="atsp", n=9, trials=4, seed=22, beta="uniform:2")).summaries[0]
         assert rows[0].mean_tour_over_assignment == first["mean_ratio"]

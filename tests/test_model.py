@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,22 @@ class TestSimplexModel:
         space = EdgeSpace(3)
         with pytest.raises(ValueError):
             SimplexModel(space, np.array([1.0, -1.0, 1.0]), 3.0)
+
+    # 1.5e308 * 53 ln 2 overflows; at 1e-320 a coordinate's mean L / (N+1) is subnormal
+    @pytest.mark.parametrize("L", [math.inf, -math.inf, math.nan, 0.0, -1.0, 1.5e308, 1e-320])
+    def test_budget_must_be_finite_and_positive(self, L):
+        with pytest.raises(ValueError, match="budget"):
+            SimplexModel.uniform(5, L=L)
+
+    def test_budget_over_smallest_coefficient_must_be_finite(self):
+        with pytest.raises(ValueError, match="budget"):
+            SimplexModel(EdgeSpace(3), 1e-320, 3.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, 1e308])
+    def test_alpha_positive_with_finite_sums(self, alpha):
+        # 1e308 is finite, but three of them sum past the largest double
+        with pytest.raises(ValueError, match="alpha coefficients"):
+            SimplexModel(EdgeSpace(3), alpha, 100.0)
 
     def test_m_bound_checked(self):
         space = EdgeSpace(3)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,19 @@ class TestSigmaSimplex:
         m = SimplexModel.uniform(9, L=11.0)
         density = DensityModel.from_simplex(m)
         assert sigma_simplex(m, 5) == pytest.approx(density.second_moment(5))
+
+    def test_finite_where_l_squared_overflows(self):
+        # L^2 = 1e310 overflows, but the second moment, about 2 (L/N)^2 = 8e298, does not
+        m = SimplexModel.uniform(1000, L=1e155)
+        N = m.space.num_edges
+        assert sigma_simplex(m, 0) == pytest.approx(2.0 * (1e155 / N) ** 2, rel=1e-5)
+
+    def test_isolation_past_the_double_range_is_zero(self):
+        # alpha_v p / L overflows: every vertex is surely joined, without an overflow warning
+        m = SimplexModel.uniform(4, L=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert IsolationProfile(m).total(1e300) == 0.0
 
 
 class TestMstSeries:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from simplexgraphs import (
     sample_simplex_batch,
 )
 from simplexgraphs.atsp import row_symmetric_model
+from simplexgraphs.model import MAX_UNIT_EXPONENTIAL
 
 KS_LIMIT = 0.0062  # 1e5-sample critical value used throughout
 
@@ -53,6 +55,24 @@ class TestSimplexSampler:
 
         with pytest.raises(FloatingPointError, match="budget polytope"):
             sample_simplex_batch(SimplexModel.uniform(3), OverBudgetRng(), 2)
+
+    def test_largest_budget_draws_finite_coordinates(self):
+        # every uniform is 1 - 2^-53, the largest the generator returns, so every
+        # exponential is the largest a draw can see and L * E_e is the largest product
+        class LargestUniformRng:
+            def exponential(self, size):
+                return -np.log1p(-np.full(size, 1.0 - 2.0**-53))
+
+        assert LargestUniformRng().exponential(1)[0] == MAX_UNIT_EXPONENTIAL
+        L = sys.float_info.max / MAX_UNIT_EXPONENTIAL
+        while not math.isfinite(L * MAX_UNIT_EXPONENTIAL):
+            L = math.nextafter(L, 0.0)
+        while math.isfinite(math.nextafter(L, math.inf) * MAX_UNIT_EXPONENTIAL):
+            L = math.nextafter(L, math.inf)
+        with pytest.raises(ValueError, match="budget"):
+            SimplexModel.uniform(3, L=math.nextafter(L, math.inf))
+        x = sample_simplex_batch(SimplexModel.uniform(3, L=L), LargestUniformRng(), 2)
+        assert np.isfinite(x).all() and (x > 0).all()
 
     def test_single_draw_is_weight_vector(self):
         model = SimplexModel.uniform(5)
@@ -206,7 +226,8 @@ class TestExponentialSampler:
 
     def test_rate_validation(self):
         space = EdgeSpace(3)
-        for rate in (-1.0, 0.0, math.inf, math.nan):
+        # 1e-320: the largest unit exponential over this rate overflows
+        for rate in (-1.0, 0.0, math.inf, math.nan, 1e-320):
             with pytest.raises(ValueError, match="rate"):
                 sample_product_exponential(rate, space, SeededRng(0, 0))
             with pytest.raises(ValueError, match="rate"):
@@ -242,7 +263,7 @@ class TestOrthantBallSampler:
         by_quad = quad(lambda t: t * t * pdf(t), 0, R)[0]
         assert by_quad == pytest.approx(expected, rel=1e-8)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0, 1.5e308])
     def test_rejects_bad_radius(self, radius):
         space = EdgeSpace(4)
         with pytest.raises(ValueError, match="radius"):
