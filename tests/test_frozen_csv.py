@@ -41,6 +41,10 @@ FROZEN = {
         dict(kind="mst", n=30, trials=20),
         "a69c630ef1ef6852bd61b00653ec30091d66176728b053fd4d78f3514b8ca109",
     ),
+    "mst-dvalues": (
+        dict(kind="mst", n=30, trials=20, alpha="dvalues:0.5x15,2x15"),
+        "5471cea19ae869c021fd5f8b2e4da3072ed82a1a1afa43286d131b321312377f",
+    ),
     "atsp": (
         dict(kind="atsp", n=12, trials=8, beta="uniform:2"),
         "299bc06ab44a0253b4c786e458b5ce416c35deb81ace0b04bb6fde9238b80779",
