@@ -68,8 +68,6 @@ from .samplers import (
     DensityModel,
     SeededRng,
     marginal_cdf,
-    sample_orthant_ball,
-    sample_product_exponential,
     sample_simplex,
     sample_simplex_batch,
 )
@@ -120,8 +118,6 @@ __all__ = [
     "prob_all_absent",
     "row_symmetric_model",
     "run_sweep",
-    "sample_orthant_ball",
-    "sample_product_exponential",
     "sample_row_symmetric",
     "sample_simplex",
     "sample_simplex_batch",

@@ -283,7 +283,7 @@ def row_symmetric_model(beta, n: int, L: float | None = None) -> SimplexModel:
         raise ValueError("head-vertex weights beta must be finite and positive")
     _, heads = space.all_pairs()
     M = max(float(beta.max()), 1.0 / float(beta.min()))
-    return SimplexModel(space, beta[heads], float(L) if L is not None else float(space.num_edges), M=M)
+    return SimplexModel(space, beta[heads], L, M=M)
 
 
 def sample_row_symmetric(model: SimplexModel, rng: SeededRng) -> CostMatrix:

@@ -77,10 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sample(args) -> int:
     if args.trials < 0:
         raise ConfigError("trials must be non-negative")
-    _, density = build_model(args.n, args.model, args.alpha, args.L, args.rate, args.radius, args.seed)
-    lines = ["trial," + ",".join(f"x{e}" for e in range(density.space.num_edges))]
+    model = build_model(args.n, args.model, args.alpha, args.L, args.rate, args.radius, args.seed)
+    lines = ["trial," + ",".join(f"x{e}" for e in range(model.space.num_edges))]
     for t in range(args.trials):
-        x = density.sample(SeededRng(args.seed, experiments.trial_stream(0, t)))
+        x = model.sample(SeededRng(args.seed, experiments.trial_stream(0, t)))
         lines.append(str(t) + "," + ",".join(format(v, ".12g") for v in x.x))
     text = "\n".join(lines) + "\n"
     if args.out == "-":
@@ -94,7 +94,7 @@ def _cmd_sample(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.p is not None and not 0 <= args.p < math.inf:
         raise ConfigError(f"--p must be finite and non-negative, got {args.p}")
-    model, _ = build_model(args.n, alpha=args.alpha, L=args.L, seed=args.seed)
+    model = build_model(args.n, alpha=args.alpha, L=args.L, seed=args.seed).simplex
     print(f"n={args.n}")
     print(f"N={model.space.num_edges}")
     print(f"L={model.L:.12g}")

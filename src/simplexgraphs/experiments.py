@@ -26,7 +26,7 @@ from . import graphs, oracle
 from .atsp import held_karp, hungarian, patch, row_symmetric_model, sample_row_symmetric
 from .errors import CapacityError, ConfigError
 from .model import DecomposableWeights, EdgeSpace, SimplexModel, threshold
-from .samplers import DensityModel, SeededRng, marginal_cdf, sample_simplex
+from .samplers import DensityModel, SeededRng, marginal_cdf
 
 KINDS = (
     "connectivity",
@@ -259,11 +259,6 @@ def resolve_dvalues(spec: str, n: int) -> np.ndarray:
     return np.asarray(values)
 
 
-def resolve_beta(spec: str, n: int, seed: int) -> np.ndarray:
-    """Head-vertex weights of the ATSP model: ones | const:<x> | uniform:<M>."""
-    return np.broadcast_to(_resolve_coefficients(spec, n, seed, "beta"), (n,)).copy()
-
-
 def _resolve_coefficients(spec: str, count: int, seed: int, name: str) -> float | np.ndarray:
     """The ones/const/uniform specs shared by alpha and beta.
 
@@ -291,8 +286,7 @@ def _resolve_coefficients(spec: str, count: int, seed: int, name: str) -> float 
 class _SweepContext:
     config: ExperimentConfig
     schedule: tuple[float, ...]
-    density: DensityModel | None = None
-    simplex: SimplexModel | None = None
+    model: DensityModel
 
 
 def build_model(
@@ -303,25 +297,27 @@ def build_model(
     rate: float = 1.0,
     radius: float = 1.0,
     seed: int = 0,
-) -> tuple[SimplexModel | None, DensityModel]:
-    """The weight density of a sweep or CLI command, plus its simplex model (None off the simplex).
+) -> DensityModel:
+    """The weight density of a sweep or CLI command; its ``simplex`` is None off the simplex.
 
     A bad alpha spec, or a parameter the model types refuse, is a config error.
     """
     with _config_errors():
         space = EdgeSpace(n)
         if model == "simplex":
-            simplex = SimplexModel(
-                space, resolve_alpha(alpha, space, seed), L if L is not None else float(space.num_edges)
-            )
-            return simplex, DensityModel.from_simplex(simplex)
+            return DensityModel.from_simplex(SimplexModel(space, resolve_alpha(alpha, space, seed), L))
         if model == "exponential":
-            return None, DensityModel.product_exponential(rate, space)
-        return None, DensityModel.orthant_ball(radius, space)
+            return DensityModel.product_exponential(rate, space)
+        return DensityModel.orthant_ball(radius, space)
 
 
 def _schedule(config: ExperimentConfig, simplex: SimplexModel | None) -> tuple[float, ...]:
-    """The thresholds a config's p_mode names; p0eps solves for p0 on ``simplex``."""
+    """The thresholds a config's p_mode names; p0eps solves for p0 on ``simplex``.
+
+    A tree or a tour uses every weight, so mst and atsp run at the one point p = inf.
+    """
+    if config.kind in ("mst", "atsp"):
+        return (math.inf,)
     if config.p_mode == "explicit":
         return tuple(config.p_values)
     if config.p_mode == "clogn":
@@ -336,19 +332,23 @@ def _schedule(config: ExperimentConfig, simplex: SimplexModel | None) -> tuple[f
     return schedule
 
 
+def _context(config: ExperimentConfig, model: DensityModel) -> _SweepContext:
+    """The context of a sweep of ``config`` over ``model``, its thresholds included."""
+    return _SweepContext(config, _schedule(config, model.simplex), model)
+
+
 def _build_context(config: ExperimentConfig) -> _SweepContext:
-    if config.kind in ("atsp", "mst"):
+    """The context of a config's sweep.
+
+    atsp draws from its directed row-symmetric model, every other kind from ``build_model``.
+    """
+    if config.kind == "atsp":
         with _config_errors():
-            if config.kind == "atsp":
-                beta = resolve_beta(config.beta, config.n, config.seed)
-                model = row_symmetric_model(beta, config.n, config.L)
-            else:
-                model = DecomposableWeights(resolve_dvalues(config.alpha, config.n)).to_simplex_model(config.L)
-        return _SweepContext(config, (math.inf,), simplex=model)
-    simplex, density = build_model(
-        config.n, config.model, config.alpha, config.L, config.rate, config.radius, config.seed
-    )
-    return _SweepContext(config, _schedule(config, simplex), density=density, simplex=simplex)
+            beta = _resolve_coefficients(config.beta, config.n, config.seed, "beta")
+            model = DensityModel.from_simplex(row_symmetric_model(beta, config.n, config.L))
+    else:
+        model = build_model(config.n, config.model, config.alpha, config.L, config.rate, config.radius, config.seed)
+    return _context(config, model)
 
 
 # --- trial execution -------------------------------------------------------------
@@ -374,27 +374,25 @@ def _run_trial(ctx: _SweepContext, p_index: int, p: float, trial: int) -> TrialR
     rng = SeededRng(cfg.seed, stream)
     kind = cfg.kind
     if kind == "atsp":
-        costs = sample_row_symmetric(ctx.simplex, rng)
+        costs = sample_row_symmetric(ctx.model.simplex, rng)
         assignment = hungarian(costs)
         tour = patch(assignment, costs)
         optimal = held_karp(costs)[0] if cfg.n <= 13 else math.nan
         outcome = tour.cost / assignment.cost
         aux = (tour.cost, assignment.cost, float(len(assignment.cycles)), optimal)
     elif kind == "mst":
-        x = sample_simplex(ctx.simplex, rng)
-        outcome = graphs.mst_weight(x)[0]
+        outcome = graphs.mst_weight(ctx.model.sample(rng))[0]
         aux = ()
     elif kind == "moments":
-        x = ctx.density.sample(rng)
+        x = ctx.model.sample(rng)
         outcome = float(np.count_nonzero(x.x <= p))
         aux = ()
     elif kind == "marginals":
-        x = ctx.density.sample(rng)
-        value = float(x.x[cfg.edge])
+        value = float(ctx.model.sample(rng).x[cfg.edge])
         outcome = 1.0 if value <= p else 0.0
         aux = (value,)
     else:
-        g = threshold(ctx.density.sample(rng), p)
+        g = threshold(ctx.model.sample(rng), p)
         m = float(g.edge_count)
         if kind == "connectivity":
             summary = graphs.components(g)
@@ -429,13 +427,16 @@ def _worker_trial(task: tuple[int, float, int]) -> TrialRecord:
     return _run_trial(_WORKER_CTX, p_index, p, trial)
 
 
-def _run_trials(ctx: _SweepContext, points) -> list[TrialRecord]:
-    """``ctx.config.trials`` trials at each (p_index, p) of ``points``, sorted by (p_index, trial).
+def _run_trials(ctx: _SweepContext, points) -> tuple[list[TrialRecord], list[dict]]:
+    """``ctx.config.trials`` trials at each (p_index, p) of ``points``, and one summary per point.
+
+    The records come back sorted by (p_index, trial).
 
     Runs on ``ctx.config.workers`` processes.  Pool workers receive the built
     context (inherited under fork), not the config, so no worker rebuilds the
     model.
     """
+    points = list(points)
     tasks = [(pi, p, t) for pi, p in points for t in range(ctx.config.trials)]
     workers = ctx.config.workers
     if workers > 1 and tasks:
@@ -445,7 +446,10 @@ def _run_trials(ctx: _SweepContext, points) -> list[TrialRecord]:
     else:
         records = [_run_trial(ctx, *task) for task in tasks]
     records.sort(key=lambda r: (r.p_index, r.trial))
-    return records
+    blocks: dict[int, list[TrialRecord]] = {pi: [] for pi, _ in points}
+    for r in records:
+        blocks[r.p_index].append(r)
+    return records, [_summarize(ctx, pi, p, blocks[pi]) for pi, p in points]
 
 
 # --- statistics ------------------------------------------------------------------
@@ -510,9 +514,10 @@ def _summarize(ctx: _SweepContext, p_index: int, p: float, records: list[TrialRe
         var = float(values.var(ddof=1)) if values.size > 1 else math.nan
         expected = math.nan
         bound = math.nan
-        if ctx.simplex is not None and ctx.simplex.unit_alpha:
-            expected = oracle.expected_edge_count(ctx.simplex, p)
-            bound = oracle.edge_count_variance_bound(ctx.simplex, p)
+        simplex = ctx.model.simplex
+        if simplex is not None and simplex.unit_alpha:
+            expected = oracle.expected_edge_count(simplex, p)
+            bound = oracle.edge_count_variance_bound(simplex, p)
         out.update(mean=mean, var=var, expected=expected, var_bound=bound)
     elif cfg.kind == "atsp":
         ratios = values
@@ -561,14 +566,9 @@ def _mean_sd(values: np.ndarray) -> tuple[float, float]:
 def _oracle_value(ctx: _SweepContext, p_index: int, p: float) -> float:
     cfg = ctx.config
     if cfg.kind == "marginals":
-        return marginal_cdf(ctx.density, cfg.edge, p)
-    if (
-        cfg.kind == "connectivity"
-        and cfg.p_mode == "clogn"
-        and cfg.model == "simplex"
-        and ctx.simplex is not None
-        and ctx.simplex.unit_alpha
-    ):
+        return marginal_cdf(ctx.model, cfg.edge, p)
+    simplex = ctx.model.simplex
+    if cfg.kind == "connectivity" and cfg.p_mode == "clogn" and simplex is not None and simplex.unit_alpha:
         c = cfg.c_values[p_index]
         return math.exp(-math.exp(-c))
     return math.nan
@@ -577,13 +577,9 @@ def _oracle_value(ctx: _SweepContext, p_index: int, p: float) -> float:
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run trials for every threshold in the schedule and emit CSV plus summaries."""
     ctx = _build_context(config)
-    records = _run_trials(ctx, enumerate(ctx.schedule))
-
-    summaries = []
-    if config.trials > 0:
-        for pi, p in enumerate(ctx.schedule):
-            block = [r for r in records if r.p_index == pi]
-            summaries.append(_summarize(ctx, pi, p, block))
+    records, summaries = _run_trials(ctx, enumerate(ctx.schedule))
+    if not config.trials:
+        summaries = []  # the CSV of a sweep without trials has no summary lines
 
     aux_cols = AUX_COLUMNS[config.kind]
     lines = [",".join(("p_index", "trial", "stream", "p", "outcome") + aux_cols)]
@@ -673,11 +669,8 @@ def threshold_transition_experiment(model: SimplexModel, eps: float, trials: int
             "the sharp-threshold hypothesis is violated",
             stacklevel=2,
         )
-    ctx = _SweepContext(config, _schedule(config, model), density=DensityModel.from_simplex(model), simplex=model)
-    records = _run_trials(ctx, enumerate(ctx.schedule))
-    below, above = (
-        _summarize(ctx, pi, p, [r for r in records if r.p_index == pi]) for pi, p in enumerate(ctx.schedule)
-    )
+    ctx = _context(config, DensityModel.from_simplex(model))
+    _, (below, above) = _run_trials(ctx, enumerate(ctx.schedule))
     return TransitionResult(
         oracle.solve_p0(model),
         eps,
@@ -712,10 +705,9 @@ def mst_experiment(weights: DecomposableWeights, n: int, trials: int, seed: int)
     else:
         raise ConfigError("no series mode available: n > 20 with more than 4 distinct factors")
     with _config_errors():
-        simplex = weights.to_simplex_model()
-    ctx = _SweepContext(config, (math.inf,), simplex=simplex)
+        ctx = _context(config, DensityModel.from_simplex(weights.to_simplex_model()))
     series = oracle.mst_series(weights, mode=mode)
-    s = _summarize(ctx, 0, math.inf, _run_trials(ctx, [(0, math.inf)]))
+    _, (s,) = _run_trials(ctx, enumerate(ctx.schedule))
     return MstExperimentResult(s["mean"], s["se"], series, abs(s["mean"] - series) / series, trials, mode)
 
 
@@ -738,7 +730,7 @@ def atsp_experiment(beta_spec: str, n_values, trials: int, seed: int) -> list[At
     rows = []
     for n_index, n in enumerate(n_values):
         ctx = _build_context(ExperimentConfig(kind="atsp", n=n, trials=trials, seed=seed, beta=beta_spec))
-        s = _summarize(ctx, n_index, math.inf, _run_trials(ctx, [(n_index, math.inf)]))
+        _, (s,) = _run_trials(ctx, [(n_index, math.inf)])
         rows.append(
             AtspRow(
                 n=n,
@@ -747,7 +739,7 @@ def atsp_experiment(beta_spec: str, n_values, trials: int, seed: int) -> list[At
                 se_tour_over_assignment=s["se_ratio"],
                 mean_tour_over_optimal=s["mean_tour_over_opt"],
                 mean_cycles=s["mean_cycles"],
-                bound_M=ctx.simplex.M,
+                bound_M=ctx.model.simplex.M,
             )
         )
     return rows

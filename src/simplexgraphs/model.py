@@ -110,8 +110,8 @@ class SimplexModel:
     ``alpha`` holds one positive coefficient per coordinate in canonical edge
     order.  A scalar alpha is stored once, as a read-only zero-stride view of
     length N, so a constant model costs no O(N) memory to build.  ``L``
-    defaults to the coordinate count N, the normalization under which the
-    threshold formulas below take their simplest form.  ``M``, when declared,
+    left as None is the coordinate count N, the normalization under which
+    the threshold formulas below take their simplest form.  ``M``, when declared,
     asserts 1/M <= alpha_e <= M for every coordinate.  ``alpha_min`` and
     ``alpha_max`` are the coefficient range, taken once at construction.
 
@@ -123,7 +123,7 @@ class SimplexModel:
 
     space: EdgeSpace
     alpha: np.ndarray
-    L: float
+    L: float | None = None
     M: float | None = None
     alpha_min: float = field(init=False, repr=False, compare=False)
     alpha_max: float = field(init=False, repr=False, compare=False)
@@ -136,6 +136,7 @@ class SimplexModel:
         lo, hi = float(a.min()), float(a.max())
         object.__setattr__(self, "alpha_min", lo)
         object.__setattr__(self, "alpha_max", hi)
+        object.__setattr__(self, "L", float(self.space.num_edges if self.L is None else self.L))
         if not (0 < lo and math.isfinite(hi * self.space.num_edges)):
             raise ValueError(
                 f"alpha coefficients must be positive, with every sum alpha(S) finite, got the range [{lo:g}, {hi:g}]"
@@ -164,8 +165,7 @@ class SimplexModel:
     @classmethod
     def uniform(cls, n: int, L: float | None = None, directed: bool = False) -> "SimplexModel":
         """All-ones coefficients; the exchangeable case."""
-        space = EdgeSpace(n, directed=directed)
-        return cls(space, 1.0, float(L) if L is not None else float(space.num_edges), M=1.0)
+        return cls(EdgeSpace(n, directed=directed), 1.0, L, M=1.0)
 
     @property
     def unit_alpha(self) -> bool:
@@ -249,7 +249,7 @@ class DecomposableWeights:
         space = EdgeSpace(self.n)
         tails, heads = space.all_pairs()
         alpha = self.d[tails] * self.d[heads]
-        return SimplexModel(space, alpha, float(L) if L is not None else float(space.num_edges))
+        return SimplexModel(space, alpha, L)
 
 
 @dataclass(frozen=True)

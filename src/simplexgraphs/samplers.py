@@ -91,21 +91,6 @@ def sample_simplex_batch(model: SimplexModel, rng: SeededRng, count: int) -> np.
     return x
 
 
-def sample_product_exponential(rates, space: EdgeSpace, rng: SeededRng) -> WeightVector:
-    """Independent exponential coordinates; edge e appears below p w.p. 1 - exp(-lambda_e p)."""
-    return DensityModel.product_exponential(rates, space).sample(rng)
-
-
-def sample_orthant_ball(radius: float, space: EdgeSpace, rng: SeededRng) -> WeightVector:
-    """Uniform over {x >= 0 : ||x||_2 <= R}.
-
-    A uniform point in the full ball (Gaussian direction scaled by
-    R * U^(1/N)) reflected into the orthant; valid because the ball's
-    uniform density is unchanged by coordinate sign flips.
-    """
-    return DensityModel.orthant_ball(radius, space).sample(rng)
-
-
 _MAX_RADIUS = sys.float_info.max / 2.0**64
 
 
@@ -117,6 +102,12 @@ class DensityModel:
     scaling quantity), ``std_dev`` the usual standard deviation (the quantity
     the one-dimensional bound checks are stated in).  ``sigma_min``/``sigma_max``
     follow the second-moment convention.
+
+    Every family is a scale family per axis: X_e / scale(e) has a law that
+    depends on N alone, with scale L / alpha_e (simplex), 1 / rate_e
+    (exponential) or the radius (ball).  The moments are formed from that
+    scale and the unit law's moments in Python floats, so each overflows only
+    where its value exceeds the largest double.
     """
 
     kind: str
@@ -131,7 +122,10 @@ class DensityModel:
 
     @classmethod
     def product_exponential(cls, rates, space: EdgeSpace) -> "DensityModel":
-        """Coordinate e ~ Exp(rates[e]); each rate is finite, and positive with MAX_UNIT_EXPONENTIAL / rate finite."""
+        """Coordinate e ~ Exp(rates[e]); each rate is finite, and positive with MAX_UNIT_EXPONENTIAL / rate finite.
+
+        Edge e is then kept below p with probability 1 - exp(-rates[e] p), independently.
+        """
         lam = np.broadcast_to(np.asarray(rates, dtype=float), (space.num_edges,)).copy()
         lo, hi = float(lam.min()), float(lam.max())
         if not (0 < lo <= hi < math.inf and math.isfinite(MAX_UNIT_EXPONENTIAL / lo)):
@@ -141,10 +135,13 @@ class DensityModel:
 
     @classmethod
     def orthant_ball(cls, radius: float, space: EdgeSpace) -> "DensityModel":
-        """Uniform over the orthant part of the ball; ``radius`` is positive with radius * 2^64 finite.
+        """Uniform over {x >= 0 : ||x||_2 <= R}; ``radius`` is positive with radius * 2^64 finite.
 
-        A draw divides the radius by the norm of a standard normal vector,
-        which falls below 2^-64 with probability under 1e-19.
+        A draw is a uniform point in the full ball (Gaussian direction scaled
+        by R * U^(1/N)) reflected into the orthant, which is valid because the
+        ball's uniform density is unchanged by coordinate sign flips.  It
+        divides the radius by the norm of a standard normal vector, which
+        falls below 2^-64 with probability under 1e-19.
         """
         if not 0 < radius <= _MAX_RADIUS:
             raise ValueError(f"radius must be positive and at most {_MAX_RADIUS:.4g}, got {radius}")
@@ -167,33 +164,42 @@ class DensityModel:
 
     # --- per-axis moments ----------------------------------------------------
 
+    def _scale(self, e: int) -> float:
+        """The scale of coordinate e: L / alpha_e, 1 / rate_e or the radius."""
+        if self.kind == "simplex":
+            return self.simplex.L / float(self.simplex.alpha[e])
+        if self.kind == "exponential":
+            return 1.0 / float(self.rates[e])
+        return self.radius
+
+    def _unit_moments(self) -> tuple[float, float]:
+        """E(Y) and E(Y^2) of Y = X_e / scale(e), a law that depends on N alone."""
+        N = self.space.num_edges
+        if self.kind == "simplex":
+            return 1.0 / (N + 1), 2.0 / ((N + 1) * (N + 2))
+        if self.kind == "exponential":
+            return 1.0, 2.0
+        return 2.0 / ((N + 1) * _half_beta(N)), 1.0 / (N + 2)
+
     def second_moment(self, e: int) -> float:
-        """E(X_e^2).
+        """E(X_e^2), infinite only where it exceeds the largest double.
 
         Simplex: 2 L^2 / (alpha_e^2 (N+1)(N+2)), the value consistent with the
         exact marginal law 1 - (1 - alpha_e p / L)^N: the density of X_e is
-        N (alpha_e / L) (1 - alpha_e x / L)^(N-1).  It is formed from the ratio
-        L / alpha_e, so it overflows only where the value itself does.
+        N (alpha_e / L) (1 - alpha_e x / L)^(N-1).
         """
-        N = self.space.num_edges
-        if self.kind == "simplex":
-            r = self.simplex.L / float(self.simplex.alpha[e])
-            return 2.0 * (r / (N + 1)) * (r / (N + 2))
-        if self.kind == "exponential":
-            return 2.0 / self.rates[e] ** 2
-        return self.radius**2 / (N + 2)
+        s = self._scale(e)
+        if self.kind == "simplex":  # the rounding of the value ``oracle`` prints
+            N = self.space.num_edges
+            return 2.0 * (s / (N + 1)) * (s / (N + 2))
+        return s * (s * self._unit_moments()[1])
 
     def mean(self, e: int) -> float:
-        N = self.space.num_edges
-        if self.kind == "simplex":
-            m = self.simplex
-            return m.L / (m.alpha[e] * (N + 1))
-        if self.kind == "exponential":
-            return 1.0 / self.rates[e]
-        return 2.0 * self.radius / ((N + 1) * _half_beta(N))
+        return self._scale(e) * self._unit_moments()[0]
 
     def std_dev(self, e: int) -> float:
-        return math.sqrt(self.second_moment(e) - self.mean(e) ** 2)
+        m1, m2 = self._unit_moments()
+        return self._scale(e) * math.sqrt(m2 - m1 * m1)
 
     def mode_value(self, e: int) -> float:
         """Maximum of the 1-D marginal density (attained at 0 for all kinds)."""

@@ -65,10 +65,14 @@ def test_bad_sweep_config_exit_2(tmp_path, capsys, setting):
 
 
 class TestSweepCommand:
-    def test_writes_csv_and_exits_zero(self, tmp_path):
+    # an mst sweep reads alpha like every simplex kind, uniform:<M> included
+    @pytest.mark.parametrize(
+        "setting", ["kind=moments\np=0.3", "kind=mst\nalpha=uniform:2"], ids=["moments", "mst-uniform"]
+    )
+    def test_writes_csv_and_exits_zero(self, tmp_path, setting):
         config = tmp_path / "conf.txt"
         out = tmp_path / "run.csv"
-        config.write_text("kind=moments\nn=8\np=0.3\ntrials=6\nseed=2\n")
+        config.write_text(f"{setting}\nn=8\ntrials=6\nseed=2\n")
         code = main(["sweep", "--config", str(config), "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().split("\n")

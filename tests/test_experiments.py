@@ -276,10 +276,10 @@ class TestConstantAlphaContext:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        alpha_view = ctx.simplex.alpha
-        assert alpha_view.shape == (ctx.simplex.space.num_edges,)
+        alpha_view = ctx.model.simplex.alpha
+        assert alpha_view.shape == (ctx.model.simplex.space.num_edges,)
         assert alpha_view.strides == (0,) and not alpha_view.flags.writeable
-        assert ctx.simplex.unit_alpha == (alpha == "ones")
+        assert ctx.model.simplex.unit_alpha == (alpha == "ones")
 
 
 class TestImportCost:
@@ -411,9 +411,11 @@ class TestAtspExperiment:
 class TestNamedExperimentsAreSweeps:
     """The named experiments run a sweep's trials and summaries: equal numbers, not just equal laws."""
 
-    def test_mst_experiment(self):
-        res = mst_experiment(DecomposableWeights(np.ones(12)), 12, trials=15, seed=21)
-        s = run_sweep(ExperimentConfig(kind="mst", n=12, trials=15, seed=21)).summaries[0]
+    @pytest.mark.parametrize("alpha", ["ones", "dvalues:0.5x6,2x6"])
+    def test_mst_experiment(self, alpha):
+        # the experiment builds its model from DecomposableWeights, the sweep through build_model
+        res = mst_experiment(DecomposableWeights(resolve_dvalues(alpha, 12)), 12, trials=15, seed=21)
+        s = run_sweep(ExperimentConfig(kind="mst", n=12, trials=15, seed=21, alpha=alpha)).summaries[0]
         assert (res.mc_mean, res.mc_se) == (s["mean"], s["se"])
 
     def test_atsp_experiment_two_sizes(self):
@@ -425,7 +427,7 @@ class TestNamedExperimentsAreSweeps:
             np.testing.assert_equal(
                 (row.mean_tour_over_assignment, row.se_tour_over_assignment, row.mean_tour_over_optimal,
                  row.mean_cycles, row.bound_M),
-                (s["mean_ratio"], s["se_ratio"], s["mean_tour_over_opt"], s["mean_cycles"], ctx.simplex.M),
+                (s["mean_ratio"], s["se_ratio"], s["mean_tour_over_opt"], s["mean_cycles"], ctx.model.simplex.M),
             )
         first = run_sweep(ExperimentConfig(kind="atsp", n=9, trials=4, seed=22, beta="uniform:2")).summaries[0]
         assert rows[0].mean_tour_over_assignment == first["mean_ratio"]

@@ -18,6 +18,7 @@ from brutes import (
 )
 from simplexgraphs import (
     CapacityError,
+    DensityModel,
     EdgeSpace,
     SeededRng,
     ThresholdGraph,
@@ -29,7 +30,6 @@ from simplexgraphs import (
     is_hamiltonian,
     mst_weight,
     graphs,
-    sample_product_exponential,
     threshold,
 )
 
@@ -172,13 +172,13 @@ class TestConnectivityAndDiameter:
         # independent-coordinate sampler at edge prob 2 ln n / n: connected in
         # at least 90% of trials
         n = 100
-        space = EdgeSpace(n)
+        density = DensityModel.product_exponential(1.0, EdgeSpace(n))
         target = 2.0 * math.log(n) / n
         p = -math.log1p(-target)  # rate-one exponential threshold hitting that edge prob
         hits = 0
         trials = 500
         for t in range(trials):
-            x = sample_product_exponential(1.0, space, SeededRng(50, t))
+            x = density.sample(SeededRng(50, t))
             hits += is_connected(threshold(x, p))
         assert hits / trials >= 0.9
 

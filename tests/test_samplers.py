@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +15,11 @@ from simplexgraphs import (
     SeededRng,
     SimplexModel,
     marginal_cdf,
-    sample_orthant_ball,
-    sample_product_exponential,
     sample_simplex,
     sample_simplex_batch,
 )
 from simplexgraphs.atsp import row_symmetric_model
+from simplexgraphs.oracle import check_basic_bounds
 from simplexgraphs.model import MAX_UNIT_EXPONENTIAL
 
 KS_LIMIT = 0.0062  # 1e5-sample critical value used throughout
@@ -188,31 +188,31 @@ class TestInPlaceDrawsMatchReference:
     @pytest.mark.parametrize("rates", [1.0, 2.5, np.linspace(0.5, 3.0, 190)])
     def test_product_exponential(self, rates):
         space = EdgeSpace(20)
-        got = sample_product_exponential(rates, space, SeededRng(6, 1)).x
+        got = DensityModel.product_exponential(rates, space).sample(SeededRng(6, 1)).x
         assert np.array_equal(got, product_exponential_reference(rates, space, SeededRng(6, 1)))
 
     @pytest.mark.parametrize("radius", [1.0, 2.5])
     def test_orthant_ball(self, radius):
         space = EdgeSpace(20)
-        got = sample_orthant_ball(radius, space, SeededRng(7, 1)).x
+        got = DensityModel.orthant_ball(radius, space).sample(SeededRng(7, 1)).x
         assert np.array_equal(got, orthant_ball_reference(radius, space, SeededRng(7, 1)))
 
 
 class TestExponentialSampler:
     def test_edge_probability(self):
         # lambda=1, p=0.1: per-edge probability 1 - e^{-0.1}
-        space = EdgeSpace(10)
+        density = DensityModel.product_exponential(1.0, EdgeSpace(10))
         rng = SeededRng(21, 0)
-        hits = np.array([sample_product_exponential(1.0, space, rng).x[0] <= 0.1 for _ in range(20_000)])
+        hits = np.array([density.sample(rng).x[0] <= 0.1 for _ in range(20_000)])
         expected = 1.0 - math.exp(-0.1)
         assert expected == pytest.approx(0.09516, abs=5e-6)
         se = math.sqrt(expected * (1 - expected) / hits.size)
         assert abs(hits.mean() - expected) < 3 * se
 
     def test_independence_of_edge_indicators(self):
-        space = EdgeSpace(6)
+        density = DensityModel.product_exponential(1.0, EdgeSpace(6))
         rng = SeededRng(22, 0)
-        xs = np.stack([sample_product_exponential(1.0, space, rng).x for _ in range(100_000)])
+        xs = np.stack([density.sample(rng).x for _ in range(100_000)])
         p = 0.3
         a = (xs[:, 2] <= p).astype(float)
         b = (xs[:, 9] <= p).astype(float)
@@ -229,32 +229,31 @@ class TestExponentialSampler:
         # 1e-320: the largest unit exponential over this rate overflows
         for rate in (-1.0, 0.0, math.inf, math.nan, 1e-320):
             with pytest.raises(ValueError, match="rate"):
-                sample_product_exponential(rate, space, SeededRng(0, 0))
-            with pytest.raises(ValueError, match="rate"):
                 DensityModel.product_exponential(rate, space)
 
     def test_ks(self):
-        space = EdgeSpace(3)
+        density = DensityModel.product_exponential(1.5, EdgeSpace(3))
         rng = SeededRng(23, 0)
-        samples = np.concatenate([sample_product_exponential(1.5, space, rng).x for _ in range(34_000)])[:100_000]
+        samples = np.concatenate([density.sample(rng).x for _ in range(34_000)])[:100_000]
         d = ks_distance(samples, lambda v: 1.0 - np.exp(-1.5 * v))
         assert d < KS_LIMIT
 
 
 class TestOrthantBallSampler:
     def test_support(self):
-        space = EdgeSpace(5)
+        density = DensityModel.orthant_ball(2.0, EdgeSpace(5))
         rng = SeededRng(31, 0)
         for _ in range(200):
-            x = sample_orthant_ball(2.0, space, rng)
+            x = density.sample(rng)
             assert (x.x >= 0).all()
             assert np.linalg.norm(x.x) <= 2.0 + 1e-12
 
     def test_second_moment_mc_and_quadrature(self):
         space = EdgeSpace(4)  # N = 6
         R = 1.5
+        density = DensityModel.orthant_ball(R, space)
         rng = SeededRng(32, 0)
-        xs = np.stack([sample_orthant_ball(R, space, rng).x for _ in range(60_000)])
+        xs = np.stack([density.sample(rng).x for _ in range(60_000)])
         sq = xs[:, 3] ** 2
         expected = R**2 / (space.num_edges + 2)
         se = sq.std(ddof=1) / math.sqrt(sq.size)
@@ -268,8 +267,6 @@ class TestOrthantBallSampler:
         space = EdgeSpace(4)
         with pytest.raises(ValueError, match="radius"):
             DensityModel.orthant_ball(radius, space)
-        with pytest.raises(ValueError, match="radius"):
-            sample_orthant_ball(radius, space, SeededRng(0, 0))
 
     def test_reduces_to_uniform_interval_when_single_coordinate(self):
         space = EdgeSpace(2)  # N = 1
@@ -288,9 +285,9 @@ class TestOrthantBallSampler:
     def test_ks(self):
         space = EdgeSpace(3)  # N = 3
         R = 1.0
-        rng = SeededRng(33, 0)
-        samples = np.concatenate([sample_orthant_ball(R, space, rng).x for _ in range(34_000)])[:100_000]
         density = DensityModel.orthant_ball(R, space)
+        rng = SeededRng(33, 0)
+        samples = np.concatenate([density.sample(rng).x for _ in range(34_000)])[:100_000]
         d = ks_distance(samples, lambda v: np.asarray([marginal_cdf(density, 0, float(t)) for t in v]))
         assert d < KS_LIMIT
 
@@ -329,6 +326,28 @@ class TestMomentConventions:
         density = DensityModel.product_exponential(2.0, EdgeSpace(5))
         assert density.std_dev(0) == pytest.approx(0.5)
         assert density.second_moment(0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "density, sd, m2",
+        [
+            # scale 1e200: E(X_e^2) is 2e399 (ball, N=3) and 2e400 (exponential), past the largest double
+            (DensityModel.orthant_ball(1e200, EdgeSpace(3)), 1e200 * math.sqrt(1 / 5 - 0.375**2), math.inf),
+            (DensityModel.product_exponential(1e-200, EdgeSpace(3)), 1e200, math.inf),
+            # R^2 = 4e308 overflows, E(X_e^2) = R^2 / 5 does not
+            (DensityModel.orthant_ball(2e154, EdgeSpace(3)), 2e154 * math.sqrt(1 / 5 - 0.375**2), 8e307),
+            (DensityModel.product_exponential(1e-153, EdgeSpace(3)), 1e153, 2e306),
+        ],
+        ids=["ball-1e200", "exponential-1e-200", "ball-2e154", "exponential-1e-153"],
+    )
+    def test_moments_at_extreme_scales(self, density, sd, m2):
+        # every moment comes from the scale in Python floats: no overflow error and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert density.std_dev(0) == pytest.approx(sd, rel=1e-12)
+            assert density.second_moment(0) == pytest.approx(m2, rel=1e-12)
+            assert density.sigma_min == density.sigma_max == pytest.approx(math.sqrt(m2), rel=1e-12)
+            checks = check_basic_bounds(density, 0, [0.0, 0.1 * sd, 10 * sd])
+        assert all(c.upper_ok and c.lower_ok for c in checks)
 
     def test_sigma_min_max(self):
         space = EdgeSpace(4)
