@@ -33,6 +33,12 @@ FROZEN = {
         dict(kind="diameter", n=60, trials=10, p_mode="theta", theta=0.6),
         "6cd5c81257094b4a95456657fcf0d27ef3b48df42e950786ca496edfbdc8751d",
     ),
+    # n=800 has N+1 >= 2^18 coordinates and diameter 4: it takes the split
+    # draw and the BFS level that pulls only unfinished columns.
+    "diameter-split": (
+        dict(kind="diameter", n=800, trials=4, p_mode="theta", theta=0.45),
+        "248fc3b7191894d3cf07b7b682772691ebd17a35f74666a7e487e0c7a60bcebe",
+    ),
     "hamilton": (
         dict(kind="hamilton", n=12, trials=10, p_values=(0.5,)),
         "d851882989db8041ccfbd596b31d65097c46c16e33d8941459320112bd1a3ef1",
@@ -56,6 +62,10 @@ FROZEN = {
     "moments-exponential": (
         dict(kind="moments", model="exponential", rate=2.0, n=12, trials=50, p_values=(0.2,)),
         "7390171f033bc52ed3bafa3f1027753c660b550164d4c24f8bf1ae398bb4407c",
+    ),
+    "moments-exponential-split": (
+        dict(kind="moments", model="exponential", rate=2.0, n=800, trials=4, p_values=(0.01,)),
+        "1c72f21fd1cd939ddefdf57af7de21cd38783eb261cfea65c59fc8710bb11014",
     ),
     "moments-ball": (
         dict(kind="moments", model="ball", radius=1.5, n=12, trials=50, p_values=(0.2,)),
