@@ -371,7 +371,8 @@ def trial_stream(p_index: int, trial: int) -> int:
 def _run_trial(ctx: _SweepContext, p_index: int, p: float, trial: int) -> TrialRecord:
     cfg = ctx.config
     stream = trial_stream(p_index, trial)
-    rng = SeededRng(cfg.seed, stream)
+    # the CPUs the pool leaves to each trial; a large draw splits across them
+    rng = SeededRng(cfg.seed, stream, threads=max(1, (os.cpu_count() or 1) // cfg.workers))
     kind = cfg.kind
     if kind == "atsp":
         costs = sample_row_symmetric(ctx.model.simplex, rng)

@@ -2,7 +2,7 @@
 
 Connectivity and component structure run on a union-find partition; diameter
 runs a bit-parallel BFS from all sources at once (one bit per source and
-vertex, a few numpy calls over the edge list per BFS level); the
+vertex, a few numpy calls over the adjacency lists per BFS level); the
 perfect-matching check works across the fixed vertex split [0, n/2) vs
 [n/2, n) with scipy's Hopcroft-Karp; the Hamilton-cycle decision is exact
 backtracking with pruning, capped at n=24.
@@ -100,8 +100,8 @@ def is_connected(g: ThresholdGraph) -> bool:
     return bool((labels == 0).all())
 
 
-# Byte budget of one gather of frontier words over the edge list; it sets how
-# many sources one block of the all-sources BFS serves.
+# Byte budget of one gather of frontier words over the adjacency lists; it sets
+# how many sources one block of the all-sources BFS serves.
 _GATHER_BYTES = 1 << 22
 
 
@@ -111,44 +111,59 @@ def diameter(g: ThresholdGraph) -> int | float:
     Runs a BFS from every source at once.  Sources are taken in blocks of
     64*W; word w of vertex v holds 64 bits, bit s set once v has been reached
     from source 64*w + s of the block.  The words are stored word-major, as W
-    rows of n, so each pass below runs along contiguous rows.  One BFS level
-    ORs each vertex's neighbours' frontier words into it, as two
-    ``bitwise_or.reduceat`` passes over the edge list (tails are sorted in
-    canonical edge order; heads are sorted once per graph), so the cost is a
-    few numpy calls per level, not one BFS per source.  W is at most the
-    number of words whose gather over the edges fits ``_GATHER_BYTES``, and
-    the blocks are balanced so the last one is not mostly empty.
+    rows of n, so each pass below runs along contiguous rows.  The graph is
+    held once as a symmetric adjacency grouped by vertex: each edge listed
+    under both ends, grouped by one sort, with ``indptr`` from the degrees.
+    One BFS level ORs each vertex's neighbours' frontier words into it: one
+    ``take`` over the neighbour lists and one ``bitwise_or.reduceat`` over
+    the n groups.  Once fewer than half of the columns (vertices) still miss
+    a source of the block, a level gathers only their neighbour lists; the
+    finished columns would gain no new bit.  W is at most the number of
+    words whose gather over the adjacency fits ``_GATHER_BYTES``, and the
+    blocks are balanced so the last one is not mostly empty.
     """
     n, m = g.n, g.edge_count
-    tails, heads = g.tails, g.heads
-    if g.degrees().min() == 0:
+    deg = g.degrees()
+    if deg.min() == 0:
         return math.inf
-    by_head = np.argsort(heads)
-    heads_sorted, tails_by_head = heads[by_head], tails[by_head]
-    t_starts = np.flatnonzero(np.diff(tails, prepend=-1))
-    h_starts = np.flatnonzero(np.diff(heads_sorted, prepend=-1))
-    t_verts, h_verts = tails[t_starts], heads_sorted[h_starts]
+    # each edge under both ends as end * n + other; sorted, the remainders are
+    # the neighbour lists grouped by vertex
+    nbrs = np.empty(2 * m, dtype=np.int64)
+    for ends, others, out in ((g.tails, g.heads, nbrs[:m]), (g.heads, g.tails, nbrs[m:])):
+        np.multiply(ends, n, out=out)
+        out += others
+    nbrs.sort()
+    np.remainder(nbrs, n, out=nbrs)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    starts = indptr[:-1]
     nwords = -(-n // 64)
-    blocks = -(-nwords // max(1, min(nwords, _GATHER_BYTES // (8 * m))))
+    blocks = -(-nwords // max(1, min(nwords, _GATHER_BYTES // (16 * m))))
     words = -(-nwords // blocks)
     one = np.uint64(1)
     ecc_max = 1
     for s0 in range(0, n, 64 * words):
         s1 = min(n, s0 + 64 * words)
-        src = np.arange(s0, s1)
         # level 1: each block source reaches itself and its neighbours
+        off = np.arange(s1 - s0)
         reach = np.zeros((words, n), dtype=np.uint64)
-        for ends, others in ((src, src), (tails, heads), (heads_sorted, tails_by_head)):
-            lo, hi = np.searchsorted(ends, (s0, s1))
-            off = ends[lo:hi] - s0
-            np.bitwise_or.at(reach, (off >> 6, others[lo:hi]), one << (off & 63).astype(np.uint64))
+        reach[off >> 6, off + s0] = one << (off & 63).astype(np.uint64)
+        off = np.repeat(off, deg[s0:s1])
+        np.bitwise_or.at(reach, (off >> 6, nbrs[indptr[s0] : indptr[s1]]), one << (off & 63).astype(np.uint64))
         full = np.bitwise_or.reduce(reach, axis=1, keepdims=True)
         frontier = reach
         dist = 1
-        while not (reach == full).all():
-            nxt = np.zeros_like(reach)
-            nxt[:, t_verts] = np.bitwise_or.reduceat(np.take(frontier, heads, axis=1), t_starts, axis=1)
-            nxt[:, h_verts] |= np.bitwise_or.reduceat(np.take(frontier, tails_by_head, axis=1), h_starts, axis=1)
+        while not (done := (reach == full).all(axis=0)).all():
+            open_cols = np.flatnonzero(~done)
+            if 2 * open_cols.size < n:
+                # only the unfinished columns: their neighbour lists, back to back
+                lens = deg[open_cols]
+                firsts = np.cumsum(lens) - lens
+                rows = np.arange(firsts[-1] + lens[-1]) + np.repeat(starts[open_cols] - firsts, lens)
+                nxt = np.zeros_like(reach)
+                nxt[:, open_cols] = np.bitwise_or.reduceat(np.take(frontier, nbrs[rows], axis=1), firsts, axis=1)
+            else:
+                nxt = np.bitwise_or.reduceat(np.take(frontier, nbrs, axis=1), starts, axis=1)
             nxt &= ~reach
             if not nxt.any():
                 return math.inf

@@ -179,8 +179,12 @@ class SimplexModel:
     def _vertex_alphas(self) -> np.ndarray:
         if self.space.directed:
             raise ValueError("per-vertex alpha sums are defined for undirected spaces")
+        n = self.space.n
+        if self.alpha_min == self.alpha_max:
+            # each vertex sum is n-1 copies of one value, added in sequence
+            return _frozen(np.full(n, np.cumsum(np.full(n - 1, self.alpha_min))[-1]))
         tails, heads = self.space.all_pairs()
-        acc = np.zeros(self.space.n)
+        acc = np.zeros(n)
         np.add.at(acc, tails, self.alpha)
         np.add.at(acc, heads, self.alpha)
         return _frozen(acc)

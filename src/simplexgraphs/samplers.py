@@ -20,12 +20,21 @@ after the draw is one ufunc with ``out=``, so a draw at n=3000 (4.5e6
 coordinates) touches one 36 MB array instead of one per arithmetic step.
 The float operations and their order are those of the allocating formulas,
 so the output is bit-identical to them.
+
+A large exponential draw may use more than one thread: ``SeededRng(...,
+threads=k)`` splits it into up to k contiguous slices of whole Philox blocks,
+each at least ``_MIN_SLICE`` values, drawn and transformed on their own
+threads by generator copies advanced to the slice.  The numbers and the
+stream left after the draw equal the one-thread draw's, so no output depends
+on k.  The sweep harness passes ``cpu_count // workers`` (at least 1).  The
+threads start and end inside the draw.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,16 +45,24 @@ from ._numeric import pow_one_minus
 from .model import MAX_UNIT_EXPONENTIAL, EdgeSpace, SimplexModel, WeightVector
 
 
+# A draw is split across threads only when every slice gets at least this many
+# values; a smaller slice gains little over the cost of starting its thread.
+_MIN_SLICE = 1 << 17
+
+
 class SeededRng:
     """Counter-based random stream keyed by (seed, stream).
 
     Identical (seed, stream) pairs reproduce identical draw sequences;
-    distinct streams are statistically independent.
+    distinct streams are statistically independent.  ``threads`` caps how
+    many threads one large ``exponential`` draw may use; any value gives the
+    same numbers.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int, stream: int = 0, threads: int = 1):
         self.seed = int(seed)
         self.stream = int(stream)
+        self.threads = int(threads)
         key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
@@ -54,14 +71,61 @@ class SeededRng:
 
     def exponential(self, size=None):
         """Unit exponentials -log1p(-U), computed in place on the fresh uniforms."""
+        if size is not None and (e := self._split_exponential(size)) is not None:
+            return e
         e = np.asarray(self._gen.random(size))
-        np.negative(e, out=e)
-        np.log1p(e, out=e)
-        np.negative(e, out=e)
+        _neg_log1p_neg(e)
         return e if size is not None else e[()]  # one draw: a scalar, not a 0-d array
+
+    def _split_exponential(self, size) -> np.ndarray | None:
+        """The draw of ``exponential(size)`` in contiguous slices on up to ``threads`` threads.
+
+        Philox turns counter c into a block of 4 outputs, so the slice that
+        starts at value 4b is drawn by a copy of the generator advanced by b
+        blocks.  The generator itself draws the last slice, tail included,
+        so its state afterwards is the one the sequential draw leaves.  None
+        (draw sequentially) when the generator is part way through a block
+        or the draw is too small to give two slices of ``_MIN_SLICE``.
+        """
+        blocks = math.prod(np.atleast_1d(size).tolist()) // 4
+        slices = min(self.threads, blocks // (_MIN_SLICE // 4))
+        if slices < 2:
+            return None
+        bitgen = self._gen.bit_generator
+        state = bitgen.state
+        if state["buffer_pos"] != 4 or state["has_uint32"]:
+            return None
+        counter, key = state["state"]["counter"], state["state"]["key"]
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        starts = [4 * (i * blocks // slices) for i in range(slices)]
+
+        def fill(gen: np.random.Generator, start: int, stop: int) -> None:
+            chunk = flat[start:stop]
+            gen.random(out=chunk)
+            _neg_log1p_neg(chunk)
+
+        # the helper threads start and end inside this call: none outlives the draw
+        with ThreadPoolExecutor(max_workers=slices - 1) as pool:
+            helpers = [
+                pool.submit(fill, np.random.Generator(np.random.Philox(counter=counter, key=key).advance(a // 4)), a, b)
+                for a, b in zip(starts, starts[1:])
+            ]
+            bitgen.advance(starts[-1] // 4)
+            fill(self._gen, starts[-1], flat.size)
+            for h in helpers:
+                h.result()
+        return out
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
+
+
+def _neg_log1p_neg(u: np.ndarray) -> None:
+    """u <- -log1p(-u), in place."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
 
 
 def sample_simplex(model: SimplexModel, rng: SeededRng) -> WeightVector:

@@ -151,18 +151,18 @@ class TestConnectivityAndDiameter:
     @pytest.mark.parametrize("words", [2, 3])
     @pytest.mark.parametrize("n", [129, 130, 193, 257])
     def test_multi_word_blocks(self, monkeypatch, n, words):
-        # a budget of 8*words bytes per edge allows blocks of up to `words`
-        # words; balancing then shrinks a 3-word limit to 2 at n=193 (four
+        # a budget of 16*words bytes per edge (8 per word at each end) allows
+        # blocks of up to `words` words; balancing then shrinks a 3-word limit to 2 at n=193 (four
         # words in two blocks), and every n here ends in a partial last word
         for seed, (reach, density, isolated, cut) in enumerate(
             [(1, 0.0, 0, 0), (3, 0.01, 0, 0), (n, 0.03, 0, 0), (5, 0.0, 1, 0), (n, 0.02, 0, n // 2)]
         ):
             adj = random_graph_adj(n, seed, reach, density, isolated, cut)
-            monkeypatch.setattr(graphs, "_GATHER_BYTES", 8 * words * max(1, int(np.triu(adj).sum())))
+            monkeypatch.setattr(graphs, "_GATHER_BYTES", 16 * words * max(1, int(np.triu(adj).sum())))
             assert_diameter_matches_references(adj)
         # a Hamilton path whose two ends share one source word (a word of one
         # vertex holds one end): only a BFS from that word sees the diameter n-1
-        monkeypatch.setattr(graphs, "_GATHER_BYTES", 8 * words * (n - 1))
+        monkeypatch.setattr(graphs, "_GATHER_BYTES", 16 * words * (n - 1))
         for a in range(0, n, 64):
             b = min(a + 63, n - 1)
             order = [a] + [v for v in range(n) if v not in (a, b)] + ([b] if b != a else [])
@@ -181,6 +181,126 @@ class TestConnectivityAndDiameter:
             x = density.sample(SeededRng(50, t))
             hits += is_connected(threshold(x, p))
         assert hits / trials >= 0.9
+
+
+def path_edges(vertices):
+    return list(zip(vertices, vertices[1:]))
+
+
+def lollipop_adj(clique, tail):
+    """A clique on [0, clique) with a path of ``tail`` more vertices hung from vertex clique-1."""
+    n = clique + tail
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:clique, :clique] = True
+    for v in range(clique - 1, n - 1):
+        adj[v, v + 1] = adj[v + 1, v] = True
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def chorded_cycle_adj(n, chords, seed):
+    rng = np.random.default_rng(seed)
+    adj = np.zeros((n, n), dtype=bool)
+    for v in range(n):
+        adj[v, (v + 1) % n] = adj[(v + 1) % n, v] = True
+    for a, b in rng.integers(0, n, size=(chords, 2)):
+        if a != b:
+            adj[a, b] = adj[b, a] = True
+    return adj
+
+
+class TestDiameterLastLevels:
+    """Graphs whose last BFS levels leave few unfinished columns, so a level pulls only those."""
+
+    @pytest.mark.parametrize("n", [2, 3, 65, 200])
+    def test_paths_against_references(self, n):
+        adj = np.zeros((n, n), dtype=bool)
+        for v in range(n - 1):
+            adj[v, v + 1] = adj[v + 1, v] = True
+        assert_diameter_matches_references(adj)
+
+    @pytest.mark.parametrize("n", [300, 700])
+    def test_long_paths(self, n):
+        # vertex labels shuffled, so a neighbour list is not a label range
+        order = np.random.default_rng(n).permutation(n).tolist()
+        assert diameter(ThresholdGraph.from_edges(n, path_edges(order))) == n - 1
+
+    @pytest.mark.parametrize("clique, tail", [(3, 10), (40, 60), (150, 50), (100, 130)])
+    def test_lollipop(self, clique, tail):
+        adj = lollipop_adj(clique, tail)
+        assert diameter_brute(adj) == tail + 1
+        assert_diameter_matches_references(adj)
+
+    @pytest.mark.parametrize("n, chords", [(100, 2), (200, 3), (257, 5)])
+    def test_chorded_cycle(self, n, chords):
+        assert_diameter_matches_references(chorded_cycle_adj(n, chords, seed=n))
+
+    @pytest.mark.parametrize("words", [1, 2])
+    def test_chorded_cycle_in_small_blocks(self, monkeypatch, words):
+        adj = chorded_cycle_adj(257, 4, seed=3)
+        monkeypatch.setattr(graphs, "_GATHER_BYTES", 16 * words * int(np.triu(adj).sum()))
+        assert_diameter_matches_references(adj)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [("path", 150), ("path", 50)],
+            [("lollipop", 120), ("cycle", 80)],
+            [("cycle", 3), ("lollipop", 197)],
+        ],
+    )
+    def test_two_components_without_isolated_vertices(self, parts):
+        blocks = []
+        for shape, size in parts:
+            if shape == "path":
+                blocks.append(lollipop_adj(2, size - 2))
+            elif shape == "lollipop":
+                blocks.append(lollipop_adj(size // 3, size - size // 3))
+            else:
+                blocks.append(chorded_cycle_adj(size, 0, seed=0))
+        n = sum(b.shape[0] for b in blocks)
+        adj = np.zeros((n, n), dtype=bool)
+        at = 0
+        for b in blocks:
+            adj[at : at + b.shape[0], at : at + b.shape[0]] = b
+            at += b.shape[0]
+        # relabel so both components interleave across source words
+        perm = np.random.default_rng(n).permutation(n)
+        adj = adj[np.ix_(perm, perm)]
+        assert graph_from_adj(adj).degrees().min() > 0
+        assert diameter(graph_from_adj(adj)) == math.inf
+        assert_diameter_matches_references(adj)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        core=st.integers(2, 60),
+        tails=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+        density=st.sampled_from([0.05, 0.2, 0.6]),
+        split=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_random_core_with_tails(self, core, tails, density, split, seed):
+        # a random core with paths hung from it: most columns finish early and
+        # the tails' ends finish last; ``split`` detaches the first tail
+        rng = np.random.default_rng(seed)
+        n = min(200, core + sum(tails))
+        adj = np.zeros((n, n), dtype=bool)
+        adj[:core, :core] = np.triu(rng.random((core, core)) < density, 1)
+        for v in range(1, core):
+            adj[rng.integers(v), v] = True
+        v = core
+        for i, length in enumerate(tails):
+            prev = int(rng.integers(core)) if not (split and i == 0) else None
+            for _ in range(length):
+                if v >= n:
+                    break
+                if prev is not None:
+                    adj[prev, v] = True
+                prev = v
+                v += 1
+        adj |= adj.T
+        perm = rng.permutation(n)
+        assert_diameter_matches_references(adj[np.ix_(perm, perm)])
 
 
 class TestBipartiteMatching:

@@ -119,6 +119,19 @@ class TestSimplexModel:
         m = SimplexModel(space, rng.uniform(0.5, 2.0, space.num_edges), 21.0)
         assert m.vertex_alphas().sum() == pytest.approx(2.0 * m.alpha.sum())
 
+    @pytest.mark.parametrize("n", [7, 300, 1000])
+    @pytest.mark.parametrize("a", [1.0, 0.1, 3.7, 1e-5])
+    def test_constant_vertex_alphas_equal_add_at_sums(self, n, a):
+        # the constant-alpha shortcut keeps the sums of the general path, bit for bit
+        space = EdgeSpace(n)
+        tails, heads = space.all_pairs()
+        ref = np.zeros(n)
+        np.add.at(ref, tails, np.full(space.num_edges, a))
+        np.add.at(ref, heads, np.full(space.num_edges, a))
+        got = SimplexModel(space, a).vertex_alphas()
+        assert np.array_equal(got, ref)
+        assert not got.flags.writeable
+
     def test_alpha_sum(self):
         m = SimplexModel.uniform(4)
         assert m.alpha_sum([0, 2, 5]) == pytest.approx(3.0)

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from simplexgraphs import (
 from simplexgraphs.atsp import row_symmetric_model
 from simplexgraphs.oracle import check_basic_bounds
 from simplexgraphs.model import MAX_UNIT_EXPONENTIAL
+from simplexgraphs.samplers import _MIN_SLICE
 
 KS_LIMIT = 0.0062  # 1e5-sample critical value used throughout
 
@@ -196,6 +198,52 @@ class TestInPlaceDrawsMatchReference:
         space = EdgeSpace(20)
         got = DensityModel.orthant_ball(radius, space).sample(SeededRng(7, 1)).x
         assert np.array_equal(got, orthant_ball_reference(radius, space, SeededRng(7, 1)))
+
+
+_CUTOFF = 2 * _MIN_SLICE  # the smallest draw two threads split
+
+
+class TestSplitDraw:
+    """A draw split across threads equals the one-thread draw, and leaves the same stream behind."""
+
+    @pytest.mark.parametrize("prior", [0, 3], ids=["fresh", "mid-block"])
+    @pytest.mark.parametrize(
+        "size",
+        [_CUTOFF - 4, _CUTOFF - 1, _CUTOFF, _CUTOFF + 1, _CUTOFF + 6, 3 * _MIN_SLICE + 3, (3, _MIN_SLICE + 5)],
+    )
+    def test_threads_give_the_same_bits(self, size, prior):
+        draws = []
+        for threads in (1, 2, 3):
+            rng = SeededRng(8, 21, threads=threads)
+            if prior:
+                rng.uniform(prior)
+            before = threading.active_count()
+            e = rng.exponential(size)
+            assert threading.active_count() == before
+            draws.append((e, rng.uniform(7), rng.standard_normal(3)))
+        (e1, u1, z1) = draws[0]
+        assert e1.shape == np.empty(size).shape
+        for e, u, z in draws[1:]:
+            assert np.array_equal(e.view(np.uint64), e1.view(np.uint64))
+            assert np.array_equal(u.view(np.uint64), u1.view(np.uint64))
+            assert np.array_equal(z.view(np.uint64), z1.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "size, prior, threads, split",
+        [
+            (_CUTOFF, 0, 2, True),
+            (_CUTOFF - 1, 0, 2, False),  # too small for two slices of _MIN_SLICE
+            (3 * _MIN_SLICE, 0, 3, True),
+            (_CUTOFF, 3, 2, False),  # part way through a Philox block
+            (_CUTOFF, 4, 2, True),  # one whole block drawn before
+            (_CUTOFF, 0, 1, False),
+        ],
+    )
+    def test_when_a_draw_splits(self, size, prior, threads, split):
+        rng = SeededRng(8, 21, threads=threads)
+        if prior:
+            rng.uniform(prior)
+        assert (rng._split_exponential(size) is not None) == split
 
 
 class TestExponentialSampler:
