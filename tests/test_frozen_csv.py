@@ -55,6 +55,11 @@ FROZEN = {
         dict(kind="atsp", n=12, trials=8, beta="uniform:2"),
         "299bc06ab44a0253b4c786e458b5ce416c35deb81ace0b04bb6fde9238b80779",
     ),
+    # unit alpha: the directed draw that skips the divide by alpha
+    "atsp-ones": (
+        dict(kind="atsp", n=40, trials=3),
+        "7176f23addc3dc99983351eacc974b9cd3e415cea2da850b19cee2bf3341b83c",
+    ),
     "moments": (
         dict(kind="moments", n=12, trials=50, p_values=(0.2,)),
         "cba34e75a20c1b21fae1773ee56fb5c6789f83eab88913a5c4ab7bb581415fcf",
