@@ -287,17 +287,10 @@ def row_symmetric_model(beta, n: int, L: float | None = None) -> SimplexModel:
 
 
 def sample_row_symmetric(model: SimplexModel, rng: SeededRng) -> CostMatrix:
-    """Draw a cost matrix from a row-symmetric directed simplex."""
-    if not model.space.directed:
-        raise ValueError("row-symmetric sampling needs a directed edge space")
-    tails, heads = model.space.all_pairs()
-    by_head_min = np.full(model.space.n, np.inf)
-    by_head_max = np.zeros(model.space.n)
-    np.minimum.at(by_head_min, heads, model.alpha)
-    np.maximum.at(by_head_max, heads, model.alpha)
-    if not np.allclose(by_head_min, by_head_max, rtol=1e-12, atol=0):
+    """Draw a cost matrix from a row-symmetric directed simplex (``to_matrix`` refuses an undirected one)."""
+    space = model.space
+    # row symmetry: alpha laid out as a matrix is constant down each column (its head)
+    alpha = space.to_matrix(model.alpha, np.nan)
+    if not np.allclose(np.fmin.reduce(alpha), np.fmax.reduce(alpha), rtol=1e-12, atol=0):
         raise ValueError("coefficients must depend on the head vertex only (row symmetry)")
-    x = sample_simplex(model, rng)
-    m = np.full((model.space.n, model.space.n), np.inf)
-    m[tails, heads] = x.x
-    return CostMatrix(m)
+    return CostMatrix(space.to_matrix(sample_simplex(model, rng).x, np.inf))

@@ -209,19 +209,6 @@ def load_config(path: str) -> ExperimentConfig:
 # --- model materialization -----------------------------------------------------
 
 
-def resolve_alpha(spec: str, space: EdgeSpace, seed: int) -> float | np.ndarray:
-    """Coefficients from an alpha spec string: one float for a constant, else a vector.
-
-    ones | const:<x> | uniform:<M> (iid in [1/M, M], reserved stream) |
-    dvalues:<v>x<count>,... (decomposable per-vertex factors)
-    """
-    if spec.startswith("dvalues:"):
-        d = resolve_dvalues(spec, space.n)
-        tails, heads = space.all_pairs()
-        return d[tails] * d[heads]
-    return _resolve_coefficients(spec, space.num_edges, seed, "alpha")
-
-
 def resolve_dvalues(spec: str, n: int) -> np.ndarray:
     """Per-vertex factors from 'ones' or 'dvalues:<v>x<count>,...' (counts sum to n).
 
@@ -300,12 +287,18 @@ def build_model(
 ) -> DensityModel:
     """The weight density of a sweep or CLI command; its ``simplex`` is None off the simplex.
 
+    alpha is ones | const:<x> | uniform:<M> (iid in [1/M, M], reserved stream)
+    | dvalues:<v>x<count>,... (decomposable per-vertex factors, alpha_vw = d_v * d_w).
     A bad alpha spec, or a parameter the model types refuse, is a config error.
     """
     with _config_errors():
         space = EdgeSpace(n)
         if model == "simplex":
-            return DensityModel.from_simplex(SimplexModel(space, resolve_alpha(alpha, space, seed), L))
+            if alpha.startswith("dvalues:"):
+                simplex = DecomposableWeights(resolve_dvalues(alpha, n)).to_simplex_model(L)
+            else:
+                simplex = SimplexModel(space, _resolve_coefficients(alpha, space.num_edges, seed, "alpha"), L)
+            return DensityModel.from_simplex(simplex)
         if model == "exponential":
             return DensityModel.product_exponential(rate, space)
         return DensityModel.orthant_ball(radius, space)

@@ -5,7 +5,8 @@ lexicographic order over vertex pairs.  Undirected pairs (i, j), i < j, map to
 
     index(i, j) = i*n - i*(i+1)/2 + (j - i - 1),
 
-directed ordered pairs i != j to ``i*(n-1) + (j - [j > i])``.  Both maps are
+directed ordered pairs i != j to ``i*(n-1) + (j - [j > i])``: the n x n matrix
+read row-major without its diagonal (``EdgeSpace.to_matrix``).  Both maps are
 O(1) in each direction and vectorize over numpy arrays.
 
 All types here are immutable after construction (arrays are frozen), so they
@@ -33,6 +34,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def per_coordinate(values, N: int) -> np.ndarray:
+    """One read-only float per coordinate: a scalar as a zero-stride view of length N, a vector as a frozen copy."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim == 0:
+        return np.broadcast_to(a.copy(), (N,))
+    return _frozen(np.broadcast_to(a, (N,)).copy())
+
+
 @dataclass(frozen=True)
 class EdgeSpace:
     """Vertex count plus orientation; owns the pair <-> coordinate bijection."""
@@ -52,21 +61,14 @@ class EdgeSpace:
     def index(self, i: int, j: int) -> int:
         """Canonical coordinate of the pair (i, j); undirected pairs are normalized to i < j."""
         self._check_pair(i, j)
-        if self.directed:
-            return i * (self.n - 1) + (j - 1 if j > i else j)
-        if i > j:
-            i, j = j, i
-        return i * self.n - i * (i + 1) // 2 + (j - i - 1)
+        return int(self.index_arrays(i, j))
 
     def pair(self, e: int):
         """Inverse of :meth:`index`."""
         if not 0 <= e < self.num_edges:
             raise ValueError(f"edge index {e} out of range for N={self.num_edges}")
-        if self.directed:
-            i, r = divmod(e, self.n - 1)
-            return i, (r + 1 if r >= i else r)
-        i, j = self.pair_arrays(np.asarray([e]))
-        return int(i[0]), int(j[0])
+        i, j = self.pair_arrays(e)
+        return int(i), int(j)
 
     def index_arrays(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         i = np.asarray(i, dtype=np.int64)
@@ -96,6 +98,18 @@ class EdgeSpace:
         """(tails, heads) arrays for every coordinate in canonical order."""
         return self.pair_arrays(np.arange(self.num_edges))
 
+    def to_matrix(self, values, diagonal: float) -> np.ndarray:
+        """The n x n matrix with ``values[index(i, j)]`` at (i, j) and ``diagonal`` on its diagonal; directed only.
+
+        Entries 1..n^2-1 of the flat matrix, as n-1 rows of n+1, are n coordinates then a diagonal entry each.
+        """
+        if not self.directed:
+            raise ValueError("a coordinate vector lays out as a matrix only on a directed space")
+        n = self.n
+        m = np.full((n, n), diagonal, dtype=float)
+        m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] = np.reshape(values, (n - 1, n))
+        return m
+
     def _check_pair(self, i: int, j: int):
         if i == j:
             raise ValueError(f"self-loop ({i},{j}) has no coordinate")
@@ -108,8 +122,7 @@ class SimplexModel:
     """Weight budget polytope {x >= 0 : sum_e alpha_e * x_e <= L}.
 
     ``alpha`` holds one positive coefficient per coordinate in canonical edge
-    order.  A scalar alpha is stored once, as a read-only zero-stride view of
-    length N, so a constant model costs no O(N) memory to build.  ``L``
+    order, stored by ``per_coordinate``: a scalar alpha costs no O(N) memory.  ``L``
     left as None is the coordinate count N, the normalization under which
     the threshold formulas below take their simplest form.  ``M``, when declared,
     asserts 1/M <= alpha_e <= M for every coordinate.  ``alpha_min`` and
@@ -130,9 +143,7 @@ class SimplexModel:
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=float)
-        shape = (self.space.num_edges,)
-        alpha = np.broadcast_to(a.copy(), shape) if a.ndim == 0 else _frozen(np.broadcast_to(a, shape).copy())
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", per_coordinate(a, self.space.num_edges))
         lo, hi = float(a.min()), float(a.max())
         object.__setattr__(self, "alpha_min", lo)
         object.__setattr__(self, "alpha_max", hi)
@@ -267,8 +278,8 @@ class WeightVector:
         x = np.asarray(self.x, dtype=float)
         if x.shape != (self.space.num_edges,):
             raise ValueError(f"expected {self.space.num_edges} coordinates, got shape {x.shape}")
-        if x.size and x.min() < 0:
-            raise ValueError("weights must be non-negative")
+        if x.size and not x.min() >= 0:  # min propagates NaN
+            raise ValueError("weights must be non-negative numbers")
         object.__setattr__(self, "x", _frozen(x))
 
     def budget_used(self, model: SimplexModel) -> float:

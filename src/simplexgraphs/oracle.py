@@ -157,8 +157,6 @@ def sigma_simplex(model: SimplexModel, e: int) -> float:
 
     Scales as alpha_e^{-2} and approaches 2 (L/N)^2 asymptotically.
     """
-    if not 0 <= e < model.space.num_edges:
-        raise ValueError(f"edge index {e} out of range")
     return DensityModel.from_simplex(model).second_moment(e)
 
 

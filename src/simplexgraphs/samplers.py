@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import betainc, betaln
 
 from ._numeric import pow_one_minus
-from .model import MAX_UNIT_EXPONENTIAL, EdgeSpace, SimplexModel, WeightVector
+from .model import MAX_UNIT_EXPONENTIAL, EdgeSpace, SimplexModel, WeightVector, per_coordinate
 
 
 # A draw is split across threads only when every slice gets at least this many
@@ -189,13 +189,13 @@ class DensityModel:
         """Coordinate e ~ Exp(rates[e]); each rate is finite, and positive with MAX_UNIT_EXPONENTIAL / rate finite.
 
         Edge e is then kept below p with probability 1 - exp(-rates[e] p), independently.
+        A constant rate is stored once (``per_coordinate``).
         """
-        lam = np.broadcast_to(np.asarray(rates, dtype=float), (space.num_edges,)).copy()
+        lam = np.asarray(rates, dtype=float)
         lo, hi = float(lam.min()), float(lam.max())
         if not (0 < lo <= hi < math.inf and math.isfinite(MAX_UNIT_EXPONENTIAL / lo)):
             raise ValueError(f"exponential rates must be finite and positive with a finite draw, got [{lo:g}, {hi:g}]")
-        lam.flags.writeable = False
-        return cls("exponential", space, rates=lam)
+        return cls("exponential", space, rates=per_coordinate(lam, space.num_edges))
 
     @classmethod
     def orthant_ball(cls, radius: float, space: EdgeSpace) -> "DensityModel":
@@ -228,8 +228,13 @@ class DensityModel:
 
     # --- per-axis moments ----------------------------------------------------
 
+    def _check_coordinate(self, e: int) -> None:
+        if not 0 <= e < self.space.num_edges:
+            raise ValueError(f"edge index {e} out of range for N={self.space.num_edges}")
+
     def _scale(self, e: int) -> float:
         """The scale of coordinate e: L / alpha_e, 1 / rate_e or the radius."""
+        self._check_coordinate(e)
         if self.kind == "simplex":
             return self.simplex.L / float(self.simplex.alpha[e])
         if self.kind == "exponential":
@@ -267,10 +272,10 @@ class DensityModel:
 
     def mode_value(self, e: int) -> float:
         """Maximum of the 1-D marginal density (attained at 0 for all kinds)."""
+        self._check_coordinate(e)
         N = self.space.num_edges
         if self.kind == "simplex":
-            m = self.simplex
-            return N * m.alpha[e] / m.L
+            return N * self.simplex.alpha[e] / self.simplex.L
         if self.kind == "exponential":
             return float(self.rates[e])
         return 2.0 / (self.radius * _half_beta(N))
@@ -284,11 +289,10 @@ class DensityModel:
         return math.sqrt(max(self.second_moment(e) for e in self._axis_probe()))
 
     def _axis_probe(self):
-        if self.kind == "simplex":
-            return [int(np.argmin(self.simplex.alpha)), int(np.argmax(self.simplex.alpha))]
-        if self.kind == "exponential":
-            return [int(np.argmin(self.rates)), int(np.argmax(self.rates))]
-        return [0]
+        if self.kind == "ball":
+            return [0]
+        values = self.rates if self.simplex is None else self.simplex.alpha
+        return [int(np.argmin(values)), int(np.argmax(values))]
 
 
 @lru_cache(maxsize=64)
@@ -304,12 +308,12 @@ def marginal_cdf(model: DensityModel, e: int, p: float) -> float:
     exponential  1 - exp(-lambda_e p)
     ball         regularized incomplete beta I_{(p/R)^2}(1/2, (N+1)/2)
     """
+    model._check_coordinate(e)
     if not p >= 0:
         raise ValueError(f"threshold must be non-negative, got {p}")
     N = model.space.num_edges
     if model.kind == "simplex":
-        m = model.simplex
-        return 1.0 - pow_one_minus(m.alpha[e] * p / m.L, N)
+        return 1.0 - pow_one_minus(model.simplex.alpha[e] * p / model.simplex.L, N)
     if model.kind == "exponential":
         return -math.expm1(-model.rates[e] * p)
     x = min((p / model.radius) ** 2, 1.0)

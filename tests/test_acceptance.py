@@ -35,19 +35,16 @@ from simplexgraphs import (
     diameter,
     edge_count_variance_bound,
     expected_edge_count,
-    held_karp,
     hungarian,
     is_connected,
     is_hamiltonian,
     mst_experiment,
     mst_series,
     mst_weight,
-    patch,
     prob_all_absent,
     run_sweep,
     sample_simplex_batch,
     solve_p0,
-    threshold,
     threshold_transition_experiment,
 )
 
@@ -247,19 +244,10 @@ def test_c09_atsp_quality():
     r100, r300 = rows[0].mean_tour_over_assignment, rows[1].mean_tour_over_assignment
     trend_ok = r300 < r100 and r100 <= 1.25 and r300 <= 1.25
 
-    from simplexgraphs import row_symmetric_model, sample_row_symmetric
-    from simplexgraphs.experiments import trial_stream
-
-    model9 = row_symmetric_model(np.ones(9), 9)
-    opt_ratios = []
-    lower_bound_ok = True
-    for t in range(50):
-        costs = sample_row_symmetric(model9, SeededRng(111, trial_stream(0, t)))
-        assignment = hungarian(costs)
-        tour = patch(assignment, costs)
-        optimal, _ = held_karp(costs)
-        lower_bound_ok &= assignment.cost <= optimal + 1e-9
-        opt_ratios.append(tour.cost / optimal)
+    # aux = (tour_cost, assignment_cost, cycles, optimal_cost)
+    records = run_sweep(ExperimentConfig(kind="atsp", n=9, trials=50, seed=111)).records
+    opt_ratios = [r.aux[0] / r.aux[3] for r in records]
+    lower_bound_ok = all(r.aux[1] <= r.aux[3] + 1e-9 for r in records)
     opt_ok = float(np.mean(opt_ratios)) <= 1.35
 
     brute_ok = True
@@ -346,13 +334,10 @@ def test_c12_general_model_monotone_sweep():
     density = DensityModel.orthant_ball(1.0, space)
     base = density.sigma_max * math.log(n) / n
     thresholds = np.geomspace(0.1 * base, 10 * base, 20)
-    freqs = []
-    for pi, p in enumerate(thresholds):
-        hits = 0
-        for t in range(100):
-            x = density.sample(SeededRng(112, (pi << 32) | t))
-            hits += is_connected(threshold(x, float(p)))
-        freqs.append(hits / 100)
+    cfg = ExperimentConfig(
+        kind="connectivity", model="ball", n=n, trials=100, seed=112, p_values=tuple(map(float, thresholds))
+    )
+    freqs = [s["freq"] for s in run_sweep(cfg).summaries]
     inversions = sum(1 for a, b in zip(freqs, freqs[1:]) if b < a - 1e-12)
     ok = inversions <= 2 and freqs[0] == 0.0 and freqs[-1] == 1.0
     report(

@@ -269,6 +269,23 @@ class TestRowSymmetricSampling:
         with pytest.raises(ValueError):
             sample_row_symmetric(model, SeededRng(0, 0))
 
+    def test_rejects_undirected_model(self):
+        from simplexgraphs import SimplexModel
+
+        with pytest.raises(ValueError, match="directed"):
+            sample_row_symmetric(SimplexModel.uniform(4), SeededRng(0, 0))
+
+    @pytest.mark.parametrize("coordinate", [0, -1])
+    def test_rejects_model_changed_in_one_coordinate(self, coordinate):
+        from simplexgraphs import SimplexModel
+
+        symmetric = row_symmetric_model(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 5)
+        alpha = symmetric.alpha.copy()
+        alpha[coordinate] *= 1.5
+        sample_row_symmetric(symmetric, SeededRng(0, 0))
+        with pytest.raises(ValueError, match="row symmetry"):
+            sample_row_symmetric(SimplexModel(symmetric.space, alpha), SeededRng(0, 0))
+
     def test_coordinate_cdf_matches_exact_law(self):
         # single-coordinate absence law on the directed space
         n = 6

@@ -265,10 +265,12 @@ class TestRunSweep:
 
 
 class TestConstantAlphaContext:
-    @pytest.mark.parametrize("alpha", ["ones", "const:2"])
-    def test_diameter_context_allocates_no_coefficient_vector(self, alpha):
-        # at n=3000 a vector of N = 4.5e6 coefficients would take 36 MB
-        cfg = ExperimentConfig(kind="diameter", n=3000, trials=1, seed=0, alpha=alpha, p_mode="theta", theta=0.45)
+    @pytest.mark.parametrize("model, alpha", [("simplex", "ones"), ("simplex", "const:2"), ("exponential", "ones")])
+    def test_diameter_context_allocates_no_coefficient_vector(self, model, alpha):
+        # at n=3000 a vector of N = 4.5e6 coefficients or rates would take 36 MB
+        cfg = ExperimentConfig(
+            kind="diameter", n=3000, trials=1, seed=0, model=model, alpha=alpha, p_mode="theta", theta=0.45
+        )
         tracemalloc.start()
         try:
             ctx = _build_context(cfg)
@@ -276,10 +278,12 @@ class TestConstantAlphaContext:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        alpha_view = ctx.model.simplex.alpha
-        assert alpha_view.shape == (ctx.model.simplex.space.num_edges,)
-        assert alpha_view.strides == (0,) and not alpha_view.flags.writeable
-        assert ctx.model.simplex.unit_alpha == (alpha == "ones")
+        simplex = ctx.model.simplex
+        stored = ctx.model.rates if simplex is None else simplex.alpha
+        assert stored.shape == (ctx.model.space.num_edges,)
+        assert stored.strides == (0,) and not stored.flags.writeable
+        if simplex is not None:
+            assert simplex.unit_alpha == (alpha == "ones")
 
 
 class TestImportCost:

@@ -48,6 +48,22 @@ class TestEdgeIndex:
             seen = set(zip(tails.tolist(), heads.tolist()))
             assert len(seen) == N
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 300])
+    def test_to_matrix_equals_pair_scatter(self, n):
+        space = EdgeSpace(n, directed=True)
+        values = np.random.default_rng(n).uniform(0.0, 1.0, space.num_edges)
+        tails, heads = space.all_pairs()
+        for diagonal in (np.inf, np.nan):
+            reference = np.full((n, n), diagonal)
+            reference[tails, heads] = values
+            laid_out = space.to_matrix(values, diagonal)
+            assert laid_out.dtype == np.float64
+            assert np.array_equal(laid_out.view(np.uint64), reference.view(np.uint64))
+
+    def test_to_matrix_needs_directed_space(self):
+        with pytest.raises(ValueError, match="directed"):
+            EdgeSpace(4).to_matrix(np.ones(6), np.inf)
+
     def test_vectorized_decode_large_n(self):
         space = EdgeSpace(3000)
         e = np.arange(space.num_edges)
@@ -224,6 +240,8 @@ class TestWeightVector:
     def test_non_negative(self):
         with pytest.raises(ValueError):
             WeightVector(EdgeSpace(3), np.array([0.1, -0.2, 0.3]))
+        with pytest.raises(ValueError):
+            WeightVector(EdgeSpace(4), np.array([np.nan, 1, 2, 3, 4, 5]))
 
 
 class TestThreshold:

@@ -20,7 +20,7 @@ from simplexgraphs import (
     sample_simplex_batch,
 )
 from simplexgraphs.atsp import row_symmetric_model
-from simplexgraphs.oracle import check_basic_bounds
+from simplexgraphs.oracle import check_basic_bounds, sigma_simplex
 from simplexgraphs.model import MAX_UNIT_EXPONENTIAL
 from simplexgraphs.samplers import _MIN_SLICE
 
@@ -417,6 +417,39 @@ class TestMomentConventions:
         assert expo.mode_value(0) == pytest.approx(3.0)
         ball = DensityModel.orthant_ball(2.0, EdgeSpace(2))  # N=1: uniform on [0, 2]
         assert ball.mode_value(0) == pytest.approx(0.5)
+
+
+class TestCoordinateRange:
+    # N = 6 on 4 vertices; coordinate 5 differs from the others, so a wrapped -1 would read it
+    SPACE = EdgeSpace(4)
+    FAMILIES = {
+        "simplex": DensityModel.from_simplex(SimplexModel(SPACE, [1.0, 1.0, 1.0, 1.0, 1.0, 3.0])),
+        "exponential": DensityModel.product_exponential([1.0, 1.0, 1.0, 1.0, 1.0, 3.0], SPACE),
+        "ball": DensityModel.orthant_ball(1.5, SPACE),
+    }
+    PER_AXIS = {
+        "marginal_cdf": lambda d, e: marginal_cdf(d, e, 0.5),
+        "mode_value": lambda d, e: d.mode_value(e),
+        "mean": lambda d, e: d.mean(e),
+        "std_dev": lambda d, e: d.std_dev(e),
+        "second_moment": lambda d, e: d.second_moment(e),
+        "check_basic_bounds": lambda d, e: check_basic_bounds(d, e, [0.1]),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("function", sorted(PER_AXIS))
+    def test_rejects_index_outside_coordinates(self, family, function):
+        density, call = self.FAMILIES[family], self.PER_AXIS[function]
+        call(density, 0)
+        call(density, 5)
+        for e in (-1, 6):
+            with pytest.raises(ValueError, match="out of range"):
+                call(density, e)
+
+    @pytest.mark.parametrize("e", [-1, 6])
+    def test_sigma_simplex_rejects_index_outside_coordinates(self, e):
+        with pytest.raises(ValueError, match="out of range"):
+            sigma_simplex(self.FAMILIES["simplex"].simplex, e)
 
 
 class TestSdGridBounds:
