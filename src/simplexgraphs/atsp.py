@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .model import EdgeSpace, SimplexModel
+from .model import EdgeSpace, SimplexModel, off_diagonal
 from .samplers import SeededRng, sample_simplex
 
 
@@ -37,10 +37,10 @@ class CostMatrix:
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise ValueError("cost matrix must be square with n >= 2")
-        if not np.all(np.isinf(np.diag(m))):
+        if not (np.diag(m) == np.inf).all():
             raise ValueError("diagonal entries must be +inf (no self-loops)")
-        off = m[~np.eye(m.shape[0], dtype=bool)]
-        if not np.all(np.isfinite(off)) or off.min() < 0:
+        off = off_diagonal(m)
+        if not 0 <= off.min() <= off.max() < np.inf:  # both reductions propagate NaN
             raise ValueError("off-diagonal costs must be finite and non-negative")
         m.flags.writeable = False
         self.matrix = m
@@ -52,8 +52,7 @@ class CostMatrix:
     def finite_sentinel(self) -> np.ndarray:
         """Copy with the diagonal replaced by a finite value no assignment can pick."""
         m = self.matrix.copy()
-        off_max = m[~np.eye(self.n, dtype=bool)].max()
-        np.fill_diagonal(m, (off_max + 1.0) * (self.n + 1))
+        np.fill_diagonal(m, (off_diagonal(m).max() + 1.0) * (self.n + 1))
         return m
 
     def write_csv(self, path_or_buf) -> None:
@@ -281,9 +280,8 @@ def row_symmetric_model(beta, n: int, L: float | None = None) -> SimplexModel:
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
     if not np.all((beta > 0) & (beta < np.inf)):
         raise ValueError("head-vertex weights beta must be finite and positive")
-    _, heads = space.all_pairs()
-    M = max(float(beta.max()), 1.0 / float(beta.min()))
-    return SimplexModel(space, beta[heads], L, M=M)
+    # coordinate (i, j) has coefficient beta[j]: the off-diagonal of n rows of beta
+    return SimplexModel(space, off_diagonal(np.tile(beta, (n, 1))).reshape(-1), L)
 
 
 def sample_row_symmetric(model: SimplexModel, rng: SeededRng) -> CostMatrix:

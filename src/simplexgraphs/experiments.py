@@ -424,14 +424,15 @@ def _worker_trial(task: tuple[int, float, int]) -> TrialRecord:
 def _run_trials(ctx: _SweepContext, points) -> tuple[list[TrialRecord], list[dict]]:
     """``ctx.config.trials`` trials at each (p_index, p) of ``points``, and one summary per point.
 
-    The records come back sorted by (p_index, trial).
+    The records come back in task order, by point then by trial (``Executor.map`` keeps it).
 
     Runs on ``ctx.config.workers`` processes.  Pool workers receive the built
     context (inherited under fork), not the config, so no worker rebuilds the
     model.
     """
     points = list(points)
-    tasks = [(pi, p, t) for pi, p in points for t in range(ctx.config.trials)]
+    T = ctx.config.trials
+    tasks = [(pi, p, t) for pi, p in points for t in range(T)]
     workers = ctx.config.workers
     if workers > 1 and tasks:
         chunk = max(1, len(tasks) // (workers * 8))
@@ -439,11 +440,7 @@ def _run_trials(ctx: _SweepContext, points) -> tuple[list[TrialRecord], list[dic
             records = list(pool.map(_worker_trial, tasks, chunksize=chunk))
     else:
         records = [_run_trial(ctx, *task) for task in tasks]
-    records.sort(key=lambda r: (r.p_index, r.trial))
-    blocks: dict[int, list[TrialRecord]] = {pi: [] for pi, _ in points}
-    for r in records:
-        blocks[r.p_index].append(r)
-    return records, [_summarize(ctx, pi, p, blocks[pi]) for pi, p in points]
+    return records, [_summarize(ctx, pi, p, records[k * T : (k + 1) * T]) for k, (pi, p) in enumerate(points)]
 
 
 # --- statistics ------------------------------------------------------------------
@@ -656,10 +653,9 @@ def threshold_transition_experiment(model: SimplexModel, eps: float, trials: int
     """
     config = ExperimentConfig(kind="connectivity", n=model.space.n, trials=trials, seed=seed, p_mode="p0eps", eps=eps)
     n = model.space.n
-    bound_m = max(model.alpha_max, 1.0 / model.alpha_min)
-    if bound_m > math.log(n) ** 0.25:
+    if model.M > math.log(n) ** 0.25:
         warnings.warn(
-            f"M={bound_m:.3g} exceeds (ln n)^(1/4)={math.log(n) ** 0.25:.3g}; "
+            f"M={model.M:.3g} exceeds (ln n)^(1/4)={math.log(n) ** 0.25:.3g}; "
             "the sharp-threshold hypothesis is violated",
             stacklevel=2,
         )
@@ -673,7 +669,7 @@ def threshold_transition_experiment(model: SimplexModel, eps: float, trials: int
         above["freq"],
         (above["wilson_lo"], above["wilson_hi"]),
         trials,
-        bound_m,
+        model.M,
     )
 
 

@@ -207,7 +207,7 @@ def _articulation_free(adj_mask: list[int], n: int) -> bool:
             yield b.bit_length() - 1
             m ^= b
 
-    # iterative Tarjan articulation-point scan from vertex 0 (graph already connected)
+    # iterative Tarjan articulation-point scan of vertex 0's component only; the search rejects a disconnected graph
     stack = [(0, -1, neighbors(0))]
     disc[0] = low[0] = timer
     timer += 1
@@ -248,8 +248,6 @@ def is_hamiltonian(g: ThresholdGraph) -> bool:
         adj_mask[t] |= 1 << h
         adj_mask[h] |= 1 << t
     if min(m.bit_count() for m in adj_mask) < 2:
-        return False
-    if not is_connected(g):
         return False
     if not _articulation_free(adj_mask, n):
         return False

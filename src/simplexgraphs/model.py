@@ -6,7 +6,7 @@ lexicographic order over vertex pairs.  Undirected pairs (i, j), i < j, map to
     index(i, j) = i*n - i*(i+1)/2 + (j - i - 1),
 
 directed ordered pairs i != j to ``i*(n-1) + (j - [j > i])``: the n x n matrix
-read row-major without its diagonal (``EdgeSpace.to_matrix``).  Both maps are
+read row-major without its diagonal (``off_diagonal``).  Both maps are
 O(1) in each direction and vectorize over numpy arrays.
 
 All types here are immutable after construction (arrays are frozen), so they
@@ -40,6 +40,16 @@ def per_coordinate(values, N: int) -> np.ndarray:
     if a.ndim == 0:
         return np.broadcast_to(a.copy(), (N,))
     return _frozen(np.broadcast_to(a, (N,)).copy())
+
+
+def off_diagonal(m: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of an n x n matrix in row-major order, as n-1 rows of n.
+
+    Flat entries 1..n^2-1, as n-1 rows of n+1, are n off-diagonal entries then a diagonal
+    one each.  A view of a C-contiguous ``m``; on any other ``reshape(-1)`` copies.
+    """
+    n = m.shape[0]
+    return m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
 @dataclass(frozen=True)
@@ -99,15 +109,12 @@ class EdgeSpace:
         return self.pair_arrays(np.arange(self.num_edges))
 
     def to_matrix(self, values, diagonal: float) -> np.ndarray:
-        """The n x n matrix with ``values[index(i, j)]`` at (i, j) and ``diagonal`` on its diagonal; directed only.
-
-        Entries 1..n^2-1 of the flat matrix, as n-1 rows of n+1, are n coordinates then a diagonal entry each.
-        """
+        """The n x n matrix with ``values[index(i, j)]`` at (i, j) and ``diagonal`` on its diagonal; directed only."""
         if not self.directed:
             raise ValueError("a coordinate vector lays out as a matrix only on a directed space")
         n = self.n
         m = np.full((n, n), diagonal, dtype=float)
-        m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] = np.reshape(values, (n - 1, n))
+        off_diagonal(m)[...] = np.reshape(values, (n - 1, n))
         return m
 
     def _check_pair(self, i: int, j: int):
@@ -124,8 +131,9 @@ class SimplexModel:
     ``alpha`` holds one positive coefficient per coordinate in canonical edge
     order, stored by ``per_coordinate``: a scalar alpha costs no O(N) memory.  ``L``
     left as None is the coordinate count N, the normalization under which
-    the threshold formulas below take their simplest form.  ``M``, when declared,
-    asserts 1/M <= alpha_e <= M for every coordinate.  ``alpha_min`` and
+    the threshold formulas below take their simplest form.  ``M`` asserts
+    1/M <= alpha_e <= M for every coordinate; left as None it is the least such
+    bound, ``max(alpha_max, 1 / alpha_min)``.  ``alpha_min`` and
     ``alpha_max`` are the coefficient range, taken once at construction.
 
     Every model can be drawn from, and its laws evaluated, in floating point:
@@ -165,18 +173,17 @@ class SimplexModel:
                 f"budget L={self.L:g} with coefficients in [{lo:g}, {hi:g}] leaves the double range: a draw needs "
                 f"L * {MAX_UNIT_EXPONENTIAL:.4g} and L / alpha_min finite, and L / ((N+1) alpha_max) normal"
             )
-        if self.M is not None:
-            if self.M < 1:
-                raise ValueError("boundedness parameter M must be >= 1")
-            if lo < 1.0 / self.M - 1e-12 or hi > self.M + 1e-12:
-                raise ValueError(
-                    f"alpha range [{lo:g}, {hi:g}] violates declared bound [1/{self.M:g}, {self.M:g}]"
-                )
+        if self.M is None:
+            object.__setattr__(self, "M", max(hi, 1.0 / lo))
+        elif self.M < 1:
+            raise ValueError("boundedness parameter M must be >= 1")
+        elif lo < 1.0 / self.M - 1e-12 or hi > self.M + 1e-12:
+            raise ValueError(f"alpha range [{lo:g}, {hi:g}] violates declared bound [1/{self.M:g}, {self.M:g}]")
 
     @classmethod
     def uniform(cls, n: int, L: float | None = None, directed: bool = False) -> "SimplexModel":
         """All-ones coefficients; the exchangeable case."""
-        return cls(EdgeSpace(n, directed=directed), 1.0, L, M=1.0)
+        return cls(EdgeSpace(n, directed=directed), 1.0, L)
 
     @property
     def unit_alpha(self) -> bool:

@@ -38,6 +38,19 @@ def property_costs(n, seed, integer):
     return CostMatrix(m)
 
 
+def bad_cost_matrices(n):
+    """Matrices a CostMatrix refuses: one bad value at the first or the last off-diagonal entry, or a bad diagonal."""
+    for value in (np.nan, np.inf, -1.0):
+        for i, j in ((0, 1), (n - 1, n - 2)):
+            m = random_costs(n, n).matrix.copy()
+            m[i, j] = value
+            yield m
+    for value in (-np.inf, np.nan):
+        m = random_costs(n, n).matrix.copy()
+        np.fill_diagonal(m, value)
+        yield m
+
+
 class TestCostMatrix:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -48,6 +61,29 @@ class TestCostMatrix:
             CostMatrix(bad)
         with pytest.raises(ValueError):
             CostMatrix(np.full((2, 3), np.inf))
+        for n in (2, 3, 7):
+            for m in bad_cost_matrices(n):
+                with pytest.raises(ValueError):
+                    CostMatrix(m)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 300])
+    def test_finite_sentinel_equals_mask_formula(self, n):
+        c = random_costs(n, n)
+        reference = c.matrix.copy()
+        off = ~np.eye(n, dtype=bool)
+        reference[~off] = (c.matrix[off].max() + 1.0) * (n + 1)
+        assert np.array_equal(c.finite_sentinel().view(np.uint64), reference.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_fortran_ordered_matrix(self, n):
+        transposed = random_costs(n, n).matrix.T
+        assert transposed.flags.f_contiguous and not transposed.flags.c_contiguous
+        c = CostMatrix(transposed)
+        assert np.array_equal(c.matrix, transposed)
+        assert np.array_equal(c.finite_sentinel(), CostMatrix(np.ascontiguousarray(transposed)).finite_sentinel())
+        for m in bad_cost_matrices(n):
+            with pytest.raises(ValueError):
+                CostMatrix(np.asfortranarray(m))
 
     def test_csv_round_trip(self, tmp_path):
         c = random_costs(5, 1)
@@ -246,6 +282,14 @@ class TestRowSymmetricSampling:
         assert (off >= 0).all()
         tails, heads = model.space.all_pairs()
         assert model.alpha @ costs.matrix[tails, heads] <= model.L * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 300])
+    def test_alpha_is_beta_at_the_head(self, n):
+        beta = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        model = row_symmetric_model(beta, n)
+        _, heads = model.space.all_pairs()
+        assert np.array_equal(model.alpha.view(np.uint64), beta[heads].view(np.uint64))
+        assert model.M == max(model.alpha_max, 1.0 / model.alpha_min) == max(beta.max(), 1.0 / beta.min())
 
     def test_head_weighted_coefficients(self):
         beta = np.array([1.0, 2.0, 4.0])

@@ -376,6 +376,11 @@ class TestHamiltonian:
         g = ThresholdGraph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
         assert not is_hamiltonian(g)
 
+    def test_two_disjoint_triangles(self):
+        # minimum degree 2 and no articulation point in vertex 0's component, but disconnected
+        g = ThresholdGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert not is_hamiltonian(g)
+
     def test_unbalanced_bipartite_not_hamiltonian(self):
         # K_{2,3} is connected with min degree 2 but not Hamiltonian
         g = ThresholdGraph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])

@@ -89,6 +89,7 @@ class TestSimplexModel:
         assert m.space.num_edges == 6
         assert m.L == 6.0
         assert np.all(m.alpha == 1.0)
+        assert m.M == 1.0 == max(m.alpha_max, 1.0 / m.alpha_min)
 
     def test_alpha_positive_required(self):
         space = EdgeSpace(3)
@@ -115,7 +116,19 @@ class TestSimplexModel:
         space = EdgeSpace(3)
         with pytest.raises(ValueError):
             SimplexModel(space, np.array([1.0, 5.0, 1.0]), 3.0, M=2.0)
-        SimplexModel(space, np.array([0.5, 2.0, 1.0]), 3.0, M=2.0)
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            SimplexModel(space, 1.0, 3.0, M=0.5)
+        assert SimplexModel(space, np.array([0.5, 2.0, 1.0]), 3.0, M=2.0).M == 2.0
+        # a declared M is kept even where the coefficients would give a smaller one
+        assert SimplexModel(space, np.array([0.8, 1.2, 1.0]), 3.0, M=2.0).M == 2.0
+
+    @pytest.mark.parametrize("alpha", [2.5, 0.25, "random"])
+    def test_m_formed_from_coefficients(self, alpha):
+        if alpha == "random":
+            alpha = np.random.default_rng(4).uniform(0.1, 9.0, 10)
+        model = SimplexModel(EdgeSpace(5), alpha)
+        assert model.M == max(model.alpha_max, 1.0 / model.alpha_min)
+        assert model.M >= 1.0
 
     def test_vertex_alpha_all_ones(self):
         m = SimplexModel.uniform(4)
