@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def pow_one_minus(x, exponent: float):
@@ -23,6 +22,8 @@ def pow_one_minus(x, exponent: float):
 
 def log_binomial(n: int, k) -> np.ndarray | float:
     """log of the binomial coefficient C(n, k), via lgamma."""
+    from scipy.special import gammaln
+
     n_arr = np.asarray(n, dtype=float)
     k_arr = np.asarray(k, dtype=float)
     return gammaln(n_arr + 1.0) - gammaln(k_arr + 1.0) - gammaln(n_arr - k_arr + 1.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from .experiments import (
     build_model,
     load_config,
     mst_experiment,
+    open_output,
     resolve_dvalues,
     run_sweep,
 )
@@ -78,16 +80,12 @@ def _cmd_sample(args) -> int:
     if args.trials < 0:
         raise ConfigError("trials must be non-negative")
     model = build_model(args.n, args.model, args.alpha, args.L, args.rate, args.radius, args.seed)
-    lines = ["trial," + ",".join(f"x{e}" for e in range(model.space.num_edges))]
-    for t in range(args.trials):
-        x = model.sample(SeededRng(args.seed, experiments.trial_stream(0, t)))
-        lines.append(str(t) + "," + ",".join(format(v, ".12g") for v in x.x))
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    with nullcontext(sys.stdout) if args.out == "-" else open_output(args.out) as fh:
+        lines = ["trial," + ",".join(f"x{e}" for e in range(model.space.num_edges))]
+        for t in range(args.trials):
+            x = model.sample(SeededRng(args.seed, experiments.trial_stream(0, t)))
+            lines.append(str(t) + "," + ",".join(format(v, ".12g") for v in x.x))
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -17,7 +17,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,8 +202,22 @@ def config_from_mapping(data: dict[str, str]) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config {path}: not text") from None
+    return parse_config(text)
+
+
+def open_output(path: str):
+    """Open ``path`` for writing text; a path that cannot be written is a ConfigError."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # --- model materialization -----------------------------------------------------
@@ -568,24 +582,25 @@ def _oracle_value(ctx: _SweepContext, p_index: int, p: float) -> float:
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run trials for every threshold in the schedule and emit CSV plus summaries."""
     ctx = _build_context(config)
-    records, summaries = _run_trials(ctx, enumerate(ctx.schedule))
-    if not config.trials:
-        summaries = []  # the CSV of a sweep without trials has no summary lines
+    # the output is opened before the first trial, so a path that cannot be written fails at once
+    with open_output(config.out) if config.out else nullcontext() as fh:
+        records, summaries = _run_trials(ctx, enumerate(ctx.schedule))
+        if not config.trials:
+            summaries = []  # the CSV of a sweep without trials has no summary lines
 
-    aux_cols = AUX_COLUMNS[config.kind]
-    lines = [",".join(("p_index", "trial", "stream", "p", "outcome") + aux_cols)]
-    for r in records:
-        lines.append(
-            ",".join(
-                [str(r.p_index), str(r.trial), str(r.stream), _fmt(r.p), _fmt(r.outcome)]
-                + [_fmt(a) for a in r.aux]
+        aux_cols = AUX_COLUMNS[config.kind]
+        lines = [",".join(("p_index", "trial", "stream", "p", "outcome") + aux_cols)]
+        for r in records:
+            lines.append(
+                ",".join(
+                    [str(r.p_index), str(r.trial), str(r.stream), _fmt(r.p), _fmt(r.outcome)]
+                    + [_fmt(a) for a in r.aux]
+                )
             )
-        )
-    for s in summaries:
-        lines.append("#summary," + ",".join(f"{k}={_fmt(v)}" for k, v in s.items()))
-    csv_text = "\n".join(lines) + "\n"
-    if config.out:
-        with open(config.out, "w") as fh:
+        for s in summaries:
+            lines.append("#summary," + ",".join(f"{k}={_fmt(v)}" for k, v in s.items()))
+        csv_text = "\n".join(lines) + "\n"
+        if fh is not None:
             fh.write(csv_text)
     return SweepResult(config, ctx.schedule, tuple(records), tuple(summaries), csv_text)
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._numeric import log_binomial, pow_one_minus
 from .errors import CapacityError
@@ -174,6 +173,8 @@ def sigma_simplex(model: SimplexModel, e: int) -> float:
 
 
 def _series_term_grouped(k: int, values: np.ndarray, counts: np.ndarray, log_d_total: float) -> float:
+    from scipy.special import gammaln
+
     log_lead = gammaln(k) - k * log_d_total
     log_values = np.log(values)
     total = 0.0
@@ -200,6 +201,8 @@ def _series_term_grouped(k: int, values: np.ndarray, counts: np.ndarray, log_d_t
 
 
 def _mst_series_exact(weights: DecomposableWeights) -> float:
+    from scipy.special import gammaln
+
     n = weights.n
     if n > 20:
         raise CapacityError(f"exact subset enumeration capped at n=20, got n={n}")

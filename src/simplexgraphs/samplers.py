@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaln
+import numpy.random  # numpy 2 loads it lazily; imported here, forked pool workers inherit it
 
 from ._numeric import pow_one_minus
 from .model import MAX_UNIT_EXPONENTIAL, EdgeSpace, SimplexModel, WeightVector, per_coordinate
@@ -298,6 +298,8 @@ class DensityModel:
 @lru_cache(maxsize=64)
 def _half_beta(N: int) -> float:
     """B(1/2, (N+1)/2), the normalizer of the ball's 1-D marginal."""
+    from scipy.special import betaln
+
     return math.exp(betaln(0.5, (N + 1) / 2.0))
 
 
@@ -316,5 +318,7 @@ def marginal_cdf(model: DensityModel, e: int, p: float) -> float:
         return 1.0 - pow_one_minus(model.simplex.alpha[e] * p / model.simplex.L, N)
     if model.kind == "exponential":
         return -math.expm1(-model.rates[e] * p)
+    from scipy.special import betainc
+
     x = min((p / model.radius) ** 2, 1.0)
     return float(betainc(0.5, (N + 1) / 2.0, x))

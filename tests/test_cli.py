@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from simplexgraphs import experiments
 from simplexgraphs.cli import main
 
 
@@ -62,6 +63,52 @@ def test_bad_sweep_config_exit_2(tmp_path, capsys, setting):
     config.write_text(f"{setting}\n{rest}")
     assert main(["sweep", "--config", str(config)]) == 2
     assert_one_line_config_error(capsys)
+
+
+
+class TestFileErrors:
+    """A path that cannot be read or written ends as a one-line config error naming it."""
+
+    def assert_names(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and str(path) in err
+
+    def test_missing_config(self, tmp_path, capsys):
+        path = tmp_path / "absent.conf"
+        assert main(["sweep", "--config", str(path)]) == 2
+        self.assert_names(capsys, path)
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["sweep", "--config", str(tmp_path)]) == 2
+        self.assert_names(capsys, tmp_path)
+
+    def test_config_not_text(self, tmp_path, capsys):
+        path = tmp_path / "binary.conf"
+        path.write_bytes(b"\xff\xfe\x00kind=mst\n")
+        assert main(["sweep", "--config", str(path)]) == 2
+        self.assert_names(capsys, path)
+
+    def test_sample_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "w.csv"
+        assert main(["sample", "--n", "4", "--out", str(out)]) == 2
+        self.assert_names(capsys, out)
+
+    def test_sweep_out_is_a_directory(self, tmp_path, capsys):
+        config = tmp_path / "conf.txt"
+        config.write_text("kind=moments\nn=8\np=0.3\ntrials=2\nseed=2\n")
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 2
+        self.assert_names(capsys, tmp_path)
+
+    def test_config_out_in_missing_directory_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran before the output path was checked")
+
+        monkeypatch.setattr(experiments, "_run_trials", no_trials)
+        out = tmp_path / "absent" / "run.csv"
+        config = tmp_path / "conf.txt"
+        config.write_text(f"kind=connectivity\nn=30\np=0.3\ntrials=3\nseed=1\nout={out}\n")
+        assert main(["sweep", "--config", str(config)]) == 2
+        self.assert_names(capsys, out)
 
 
 class TestSweepCommand:

@@ -286,23 +286,65 @@ class TestConstantAlphaContext:
             assert simplex.unit_alpha == (alpha == "ones")
 
 
-class TestImportCost:
-    def test_benchmarked_sweeps_import_no_scipy_solvers(self):
+# Each function that loads scipy.special on its first call, as an expression in
+# the names of ``from simplexgraphs import *`` and numpy.
+FIRST_CALL_CASES = (
+    "marginal_cdf(DensityModel.orthant_ball(1.5, EdgeSpace(7)), 3, 0.4)",
+    "DensityModel.orthant_ball(1.5, EdgeSpace(7)).second_moment(2)",
+    "DensityModel.orthant_ball(2.0, EdgeSpace(9)).mean(0)",
+    "mst_series(DecomposableWeights(np.repeat([1.0, 2.5], [4, 5])), mode='exact')",
+    "mst_series(DecomposableWeights(np.repeat([1.0, 2.5, 0.5], [10, 12, 8])), mode='grouped')",
+    "mst_series(DecomposableWeights(np.repeat([1.0, 3.0], [30, 30])), mode='truncated')",
+)
+
+
+class TestNoScipyAtImport:
+    """Importing the package loads numpy only; scipy.special loads on first use."""
+
+    @staticmethod
+    def fresh(code: str) -> str:
+        src = str(Path(simplexgraphs.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        return done.stdout
+
+    LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+    def test_import_loads_no_scipy_and_numpy_random(self):
+        # numpy.random is loaded at import so that forked pool workers inherit it
+        code = f"import sys\nimport simplexgraphs\nprint({self.LOADED_SCIPY}, 'numpy.random' in sys.modules)\n"
+        assert self.fresh(code).strip() == "[] True"
+
+    def test_benchmarked_sweeps_load_no_scipy(self):
         # scipy.optimize (~22 MB) and scipy.sparse.csgraph (~9.5 MB) are test
-        # references or matching-only; the benchmarked sweep kinds must not pull them in
+        # references or matching-only, and scipy.special serves only the ball
+        # marginal and the spanning-tree series; no benchmarked sweep kind needs them
+        workers = min(2, os.cpu_count() or 1)
         code = (
             "import sys\n"
             "from simplexgraphs import ExperimentConfig, run_sweep\n"
             "run_sweep(ExperimentConfig(kind='atsp', n=12, trials=1, seed=0))\n"
             "run_sweep(ExperimentConfig(kind='mst', n=20, trials=1, seed=0))\n"
-            "run_sweep(ExperimentConfig(kind='connectivity', n=30, trials=1, seed=0, p_mode='clogn', c_values=(0.0,)))\n"
+            "run_sweep(ExperimentConfig(kind='connectivity', n=30, trials=2, seed=0, p_mode='clogn',"
+            f" c_values=(0.0,), workers={workers}))\n"
             "run_sweep(ExperimentConfig(kind='diameter', n=30, trials=1, seed=0, p_mode='theta', theta=0.6))\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.csgraph') if m in sys.modules))\n"
+            f"print({self.LOADED_SCIPY})\n"
         )
-        src = str(Path(simplexgraphs.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert done.stdout.strip() == "[]"
+        assert self.fresh(code).strip() == "[]"
+
+    def test_first_call_equals_in_process_value(self):
+        # a function that misses its local import fails here with a NameError;
+        # the reprs show the values kept every bit
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from simplexgraphs import *\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            f"for case in {FIRST_CALL_CASES!r}:\n"
+            "    print(repr(eval(case)))\n"
+        )
+        names = {"np": np, **{name: getattr(simplexgraphs, name) for name in simplexgraphs.__all__}}
+        assert self.fresh(code).splitlines() == [repr(eval(case, names)) for case in FIRST_CALL_CASES]
 
 
 class TestWilson:
