@@ -172,7 +172,8 @@ def sigma_simplex(model: SimplexModel, e: int) -> float:
 # grouped mode, and what makes n = 200 evaluation practical.
 
 
-def _series_term_grouped(k: int, values: np.ndarray, counts: np.ndarray, log_d_total: float) -> float:
+def _series_term_grouped(k: int, values: np.ndarray, counts: np.ndarray, log_binoms, log_d_total: float) -> float:
+    """Term k of the series; ``log_binoms[i][j]`` is log C(counts[i], j)."""
     from scipy.special import gammaln
 
     log_lead = gammaln(k) - k * log_d_total
@@ -185,14 +186,14 @@ def _series_term_grouped(k: int, values: np.ndarray, counts: np.ndarray, log_d_t
             ki = remaining
             if ki > counts[i]:
                 return
-            lacc = log_acc + log_binomial(int(counts[i]), ki) + ki * log_values[i]
+            lacc = log_acc + log_binoms[i][ki] + ki * log_values[i]
             total += math.exp(log_lead + lacc - 2.0 * math.log(dot + ki * values[i]))
             return
         for ki in range(0, min(remaining, int(counts[i])) + 1):
             rec(
                 i + 1,
                 remaining - ki,
-                log_acc + log_binomial(int(counts[i]), ki) + ki * log_values[i],
+                log_acc + log_binoms[i][ki] + ki * log_values[i],
                 dot + ki * values[i],
             )
 
@@ -239,10 +240,11 @@ def mst_series(weights: DecomposableWeights, mode: str = "grouped") -> float:
     if mode == "grouped" and len(values) > 4:
         raise ValueError(f"grouped mode supports at most 4 distinct factor values, got {len(values)}")
     log_d_total = math.log(weights.total)
+    log_binoms = [log_binomial(int(c), np.arange(int(c) + 1)) for c in counts]
     total = 0.0
     small_streak = 0
     for k in range(1, weights.n + 1):
-        term = _series_term_grouped(k, values, counts, log_d_total)
+        term = _series_term_grouped(k, values, counts, log_binoms, log_d_total)
         total += term
         if mode == "truncated":
             small_streak = small_streak + 1 if term < 1e-12 * total else 0
