@@ -334,7 +334,7 @@ class TestNoScipyAtImport:
 
     def test_first_call_equals_in_process_value(self):
         # a function that misses its local import fails here with a NameError;
-        # the reprs show the values kept every bit
+        # equal reprs show that loading scipy.special on first use moves no bit
         code = (
             "import sys\n"
             "import numpy as np\n"
