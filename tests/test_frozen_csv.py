@@ -29,6 +29,12 @@ FROZEN = {
         dict(kind="giant", n=60, trials=20, p_values=(0.05,)),
         "a52cc4c78f125f8b4a4478c74e4f2b58607a253ce0c4ed17bc5c95915f7ca01b",
     ),
+    # average degree 0.5 and 1.5: hundreds of components per trial, so the
+    # component labels and the size ties are pinned, not only the giant.
+    "giant-subcritical": (
+        dict(kind="giant", n=400, trials=10, p_values=(0.00125, 0.00375)),
+        "671ab4a08f7b2e91bafbfb4ec15b02e2cd9ea479df80c364713c4c413759436e",
+    ),
     "diameter": (
         dict(kind="diameter", n=60, trials=10, p_mode="theta", theta=0.6),
         "6cd5c81257094b4a95456657fcf0d27ef3b48df42e950786ca496edfbdc8751d",
