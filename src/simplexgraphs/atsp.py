@@ -11,8 +11,8 @@ so the procedure ends with a tour; the assignment cost is a certified lower
 bound on any tour.
 
 ``held_karp`` provides the exact optimum by the Held-Karp subset DP, one
-vectorised step per subset size, for n <= 13, used to measure tour quality at
-desk scale.
+vectorised step per subset size, for n <= ``HELD_KARP_MAX_N``, used to measure
+tour quality at desk scale.
 """
 
 from __future__ import annotations
@@ -229,8 +229,11 @@ def patch(assignment: AssignmentResult, costs: CostMatrix) -> Tour:
     return Tour(order=tuple(acc), cost=tour_cost(acc, costs))
 
 
+HELD_KARP_MAX_N = 13  # largest n the DP table, 2^(n-1) by n, is built for
+
+
 def held_karp(costs: CostMatrix) -> tuple[float, Tour]:
-    """Exact ATSP optimum by the Held-Karp subset DP; capped at n=13.
+    """Exact ATSP optimum by the Held-Karp subset DP; capped at ``HELD_KARP_MAX_N`` vertices.
 
     ``dp[T, j]`` is the cheapest path that leaves vertex 0, visits exactly the
     vertex set T (a subset of 1..n-1, vertex v as bit v-1) and ends at j in T.
@@ -239,8 +242,8 @@ def held_karp(costs: CostMatrix) -> tuple[float, Tour]:
     one vectorised step, so the Python loop runs over the n-1 layers only.
     """
     n = costs.n
-    if n > 13:
-        raise CapacityError(f"exact tour search capped at n=13, got n={n}")
+    if n > HELD_KARP_MAX_N:
+        raise CapacityError(f"exact tour search capped at n={HELD_KARP_MAX_N}, got n={n}")
     X = costs.finite_sentinel()
     into = X.T  # into[j] = costs of the edges k -> j
     size = 1 << (n - 1)

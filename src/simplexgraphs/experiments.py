@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs, oracle
-from .atsp import held_karp, hungarian, patch, row_symmetric_model, sample_row_symmetric
+from .atsp import HELD_KARP_MAX_N, held_karp, hungarian, patch, row_symmetric_model, sample_row_symmetric
 from .errors import CapacityError, ConfigError
 from .model import DecomposableWeights, EdgeSpace, SimplexModel, threshold
 from .samplers import DensityModel, SeededRng, marginal_cdf
@@ -110,8 +110,8 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be between 1 and the CPU count {cpus}, got {self.workers}")
         if self.kind == "matching" and self.n % 2:
             raise ConfigError("perfect-matching experiments need even n")
-        if self.kind == "hamilton" and self.n > 24:
-            raise CapacityError(f"Hamiltonicity experiments capped at n=24, got n={self.n}")
+        if self.kind == "hamilton" and self.n > graphs.HAMILTON_MAX_N:
+            raise CapacityError(f"Hamiltonicity experiments capped at n={graphs.HAMILTON_MAX_N}, got n={self.n}")
         if self.kind in ("mst", "atsp"):
             if self.model != "simplex":
                 raise ConfigError(f"{self.kind} experiments run on the simplex model")
@@ -385,7 +385,7 @@ def _run_trial(ctx: _SweepContext, p_index: int, p: float, trial: int) -> TrialR
         costs = sample_row_symmetric(ctx.model.simplex, rng)
         assignment = hungarian(costs)
         tour = patch(assignment, costs)
-        optimal = held_karp(costs)[0] if cfg.n <= 13 else math.nan
+        optimal = held_karp(costs)[0] if cfg.n <= HELD_KARP_MAX_N else math.nan
         outcome = tour.cost / assignment.cost
         aux = (tour.cost, assignment.cost, float(len(assignment.cycles)), optimal)
     elif kind == "mst":
@@ -473,13 +473,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return format(v, ".12g")
-    return str(v)
+    return format(v, ".12g") if isinstance(v, float) else str(v)
 
 
 @dataclass(frozen=True)
@@ -502,10 +496,11 @@ def _summarize(ctx: _SweepContext, p_index: int, p: float, records: list[TrialRe
         out.update(freq=freq, wilson_lo=lo, wilson_hi=hi, oracle=_oracle_value(ctx, p_index, p))
     elif cfg.kind == "diameter":
         finite = values[np.isfinite(values)]
-        if values.size:
-            ints, counts = (np.unique(finite, return_counts=True) if finite.size else (np.asarray([math.inf]), np.asarray([0])))
-            mode = float(ints[np.argmax(counts)]) if finite.size else math.inf
-            mode_freq = counts.max() / values.size if finite.size else 0.0
+        if finite.size:
+            ints, counts = np.unique(finite, return_counts=True)
+            mode, mode_freq = float(ints[np.argmax(counts)]), counts.max() / values.size
+        elif values.size:  # every trial disconnected
+            mode, mode_freq = math.inf, 0.0
         else:
             mode, mode_freq = math.nan, math.nan
         out.update(
@@ -573,9 +568,10 @@ def _oracle_value(ctx: _SweepContext, p_index: int, p: float) -> float:
     if cfg.kind == "marginals":
         return marginal_cdf(ctx.model, cfg.edge, p)
     simplex = ctx.model.simplex
-    if cfg.kind == "connectivity" and cfg.p_mode == "clogn" and simplex is not None and simplex.unit_alpha:
-        c = cfg.c_values[p_index]
-        return math.exp(-math.exp(-c))
+    # the limit law is stated for unit alpha at budget L = N
+    stated = simplex is not None and simplex.unit_alpha and simplex.L == simplex.space.num_edges
+    if cfg.kind == "connectivity" and cfg.p_mode == "clogn" and stated:
+        return math.exp(-math.exp(-cfg.c_values[p_index]))
     return math.nan
 
 
@@ -703,12 +699,15 @@ def mst_experiment(weights: DecomposableWeights, n: int, trials: int, seed: int)
     config = ExperimentConfig(kind="mst", n=n, trials=trials, seed=seed)
     if weights.n != n:
         raise ConfigError(f"weights describe {weights.n} vertices, config says n={n}")
-    if n <= 20:
+    if n <= oracle.SERIES_EXACT_MAX_N:
         mode = "exact"
-    elif len(weights.distinct()[0]) <= 4:
+    elif len(weights.distinct()[0]) <= oracle.SERIES_GROUPED_MAX_VALUES:
         mode = "grouped"
     else:
-        raise ConfigError("no series mode available: n > 20 with more than 4 distinct factors")
+        raise ConfigError(
+            f"no series mode available: n > {oracle.SERIES_EXACT_MAX_N}"
+            f" with more than {oracle.SERIES_GROUPED_MAX_VALUES} distinct factors"
+        )
     with _config_errors():
         ctx = _context(config, DensityModel.from_simplex(weights.to_simplex_model()))
     series = oracle.mst_series(weights, mode=mode)
@@ -728,7 +727,7 @@ class AtspRow:
 
 
 def atsp_experiment(beta_spec: str, n_values, trials: int, seed: int) -> list[AtspRow]:
-    """Tour quality ratios across sizes; exact optimum included where n <= 13.
+    """Tour quality ratios across sizes; exact optimum included where n <= ``HELD_KARP_MAX_N``.
 
     Size ``n_values[i]`` runs the trials of an atsp sweep on streams ``(i, t)``.
     """

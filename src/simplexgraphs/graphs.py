@@ -1,16 +1,18 @@
 """Deterministic graph predicates over threshold graphs.
 
-Connectivity and component structure run on a union-find partition; diameter
-runs a bit-parallel BFS from all sources at once (one bit per source and
-vertex, a few numpy calls over the adjacency lists per BFS level); the
-perfect-matching check works across the fixed vertex split [0, n/2) vs
-[n/2, n) with scipy's Hopcroft-Karp; the Hamilton-cycle decision is exact
-backtracking with pruning, capped at n=24.
+Connectivity and component structure run on min-label hooking with pointer
+jumping (a few numpy calls per round); diameter runs a bit-parallel BFS from
+all sources at once (one bit per source and vertex, a few numpy calls over the
+adjacency lists per BFS level); the perfect-matching check works across the
+fixed vertex split [0, n/2) vs [n/2, n) with scipy's Hopcroft-Karp; the
+Hamilton-cycle decision is exact backtracking with pruning, capped at
+``HAMILTON_MAX_N`` vertices.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,70 +36,49 @@ class ComponentSummary:
 
     def size_counts(self) -> dict[int, int]:
         """kappa_k: number of components with exactly k vertices."""
-        out: dict[int, int] = {}
-        for s in self.sizes:
-            out[s] = out.get(s, 0) + 1
-        return out
+        return dict(Counter(self.sizes))
 
     def tree_counts(self) -> dict[int, int]:
         """tau_k: number of tree components with exactly k vertices."""
-        out: dict[int, int] = {}
-        for s, t in zip(self.sizes, self.is_tree):
-            if t:
-                out[s] = out.get(s, 0) + 1
-        return out
+        return dict(Counter(s for s, t in zip(self.sizes, self.is_tree) if t))
 
 
 def _component_labels(g: ThresholdGraph) -> np.ndarray:
-    parent = list(range(g.n))
-    size = [1] * g.n
+    """Component number per vertex, components numbered by their least vertex.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for t, h in zip(g.tails.tolist(), g.heads.tolist()):
-        ra, rb = find(t), find(h)
-        if ra != rb:
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            size[ra] += size[rb]
-
-    labels = np.empty(g.n, dtype=np.int64)
-    next_label = 0
-    seen: dict[int, int] = {}
-    for v in range(g.n):
-        r = find(v)
-        if r not in seen:
-            seen[r] = next_label
-            next_label += 1
-        labels[v] = seen[r]
-    return labels
+    Min-label hooking with pointer jumping (Shiloach and Vishkin, 1982): a
+    round hooks the root at each end of every edge onto the lesser of the two,
+    then jumps pointers until every label is a root again.  Labels only fall
+    and stay in their component, so each component ends rooted at its least
+    vertex.
+    """
+    label = np.arange(g.n)
+    while True:
+        at_tails, at_heads = label[g.tails], label[g.heads]
+        if (at_tails == at_heads).all():
+            return np.unique(label, return_inverse=True)[1]
+        lower = np.minimum(at_tails, at_heads)
+        np.minimum.at(label, at_tails, lower)
+        np.minimum.at(label, at_heads, lower)
+        while (label != (jumped := label[label])).any():
+            label = jumped
 
 
 def components(g: ThresholdGraph) -> ComponentSummary:
     labels = _component_labels(g)
-    k = int(labels.max()) + 1 if g.n else 0
-    sizes = np.bincount(labels, minlength=k)
-    edge_counts = np.bincount(labels[g.tails], minlength=k)
-    is_tree = edge_counts == sizes - 1
-    order = np.lexsort((np.arange(k), -sizes))
+    sizes = np.bincount(labels)
+    is_tree = np.bincount(labels[g.tails], minlength=sizes.size) == sizes - 1
+    order = np.argsort(-sizes, kind="stable")
     return ComponentSummary(
-        kappa=k,
-        sizes=tuple(int(s) for s in sizes[order]),
-        is_tree=tuple(bool(t) for t in is_tree[order]),
+        kappa=sizes.size,
+        sizes=tuple(sizes[order].tolist()),
+        is_tree=tuple(is_tree[order].tolist()),
         n=g.n,
     )
 
 
 def is_connected(g: ThresholdGraph) -> bool:
-    if g.edge_count < g.n - 1:
-        return False
-    labels = _component_labels(g)
-    return bool((labels == 0).all())
+    return g.edge_count >= g.n - 1 and not _component_labels(g).any()
 
 
 # Byte budget of one gather of frontier words over the adjacency lists; it sets
@@ -236,11 +217,14 @@ def _articulation_free(adj_mask: list[int], n: int) -> bool:
     return root_children <= 1
 
 
+HAMILTON_MAX_N = 24  # largest n the exact search accepts
+
+
 def is_hamiltonian(g: ThresholdGraph) -> bool:
-    """Exact Hamilton-cycle decision by pruned backtracking; capped at n=24."""
+    """Exact Hamilton-cycle decision by pruned backtracking; capped at ``HAMILTON_MAX_N`` vertices."""
     n = g.n
-    if n > 24:
-        raise CapacityError(f"exact Hamiltonicity search capped at n=24, got n={n}")
+    if n > HAMILTON_MAX_N:
+        raise CapacityError(f"exact Hamiltonicity search capped at n={HAMILTON_MAX_N}, got n={n}")
     if n < 3:
         return False
     adj_mask = [0] * n

@@ -171,6 +171,9 @@ def sigma_simplex(model: SimplexModel, e: int) -> float:
 # compresses to count vectors (k_1..k_r) with multinomial weights; that is the
 # grouped mode, and what makes n = 200 evaluation practical.
 
+SERIES_EXACT_MAX_N = 20  # largest n the exact mode enumerates 2^n subsets for
+SERIES_GROUPED_MAX_VALUES = 4  # most distinct factor values the grouped mode takes
+
 
 def _series_term_grouped(k: int, values: np.ndarray, counts: np.ndarray, log_binoms, log_d_total: float) -> float:
     """Term k of the series; ``log_binoms[i][j]`` is log C(counts[i], j)."""
@@ -205,8 +208,8 @@ def _mst_series_exact(weights: DecomposableWeights) -> float:
     from scipy.special import gammaln
 
     n = weights.n
-    if n > 20:
-        raise CapacityError(f"exact subset enumeration capped at n=20, got n={n}")
+    if n > SERIES_EXACT_MAX_N:
+        raise CapacityError(f"exact subset enumeration capped at n={SERIES_EXACT_MAX_N}, got n={n}")
     d = np.asarray(weights.d)
     log_d_total = math.log(weights.total)
     log_d = np.log(d)
@@ -227,8 +230,9 @@ def _mst_series_exact(weights: DecomposableWeights) -> float:
 def mst_series(weights: DecomposableWeights, mode: str = "grouped") -> float:
     """Evaluate the spanning-tree series in one of three modes.
 
-    exact      full subset enumeration (n <= 20)
-    grouped    count-vector compression over distinct factor values (<= 4 of them)
+    exact      full subset enumeration (n <= SERIES_EXACT_MAX_N)
+    grouped    count-vector compression over distinct factor values (at most
+               SERIES_GROUPED_MAX_VALUES of them)
     truncated  grouped terms, stopping once three consecutive terms each
                contribute < 1e-12 of the partial sum
     """
@@ -237,8 +241,10 @@ def mst_series(weights: DecomposableWeights, mode: str = "grouped") -> float:
     if mode not in ("grouped", "truncated"):
         raise ValueError(f"unknown mode {mode!r}")
     values, counts = weights.distinct()
-    if mode == "grouped" and len(values) > 4:
-        raise ValueError(f"grouped mode supports at most 4 distinct factor values, got {len(values)}")
+    if mode == "grouped" and len(values) > SERIES_GROUPED_MAX_VALUES:
+        raise ValueError(
+            f"grouped mode supports at most {SERIES_GROUPED_MAX_VALUES} distinct factor values, got {len(values)}"
+        )
     log_d_total = math.log(weights.total)
     log_binoms = [log_binomial(int(c), np.arange(int(c) + 1)) for c in counts]
     total = 0.0

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive: boolean matrix powers for reachability,
-full enumeration over Prufer sequences for spanning trees, permutation scans
-for matchings, assignments and tours, inclusion-exclusion over the exact absence formula.
+a Python union-find for component labels, full enumeration over Prufer
+sequences for spanning trees, permutation scans for matchings, assignments and
+tours, inclusion-exclusion over the exact absence formula.
 These never share code with the implementations they check.
 """
 
@@ -52,6 +53,36 @@ def components_brute(adj):
         comps.append(comp)
     comps.sort(key=lambda c: (-len(c), min(c)))
     return comps
+
+
+def component_labels_reference(g):
+    """Union-find labels, components numbered in order of their first vertex.
+
+    Path halving and union by size over Python ints, one loop per edge, then
+    one loop per vertex that numbers the roots as they are first met.
+    """
+    parent = list(range(g.n))
+    size = [1] * g.n
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for t, h in zip(g.tails.tolist(), g.heads.tolist()):
+        ra, rb = find(t), find(h)
+        if ra != rb:
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
+
+    labels = np.empty(g.n, dtype=np.int64)
+    seen = {}
+    for v in range(g.n):
+        labels[v] = seen.setdefault(find(v), len(seen))
+    return labels
 
 
 def diameter_brute(adj):

@@ -369,6 +369,16 @@ class TestConnectivityLimit:
         assert rows[1].theory == pytest.approx(0.36788, abs=1e-5)
         assert rows[3].theory == pytest.approx(0.98185, abs=1e-5)
 
+    @pytest.mark.parametrize("L, stated", [(None, True), (19900.0, True), (79600.0, False), (4975.0, False)])
+    def test_oracle_only_at_budget_N(self, L, stated):
+        # n=200 has N=19900; at another budget the thresholds (ln n + c)/n sit elsewhere in the law
+        cfg = ExperimentConfig(kind="connectivity", n=200, trials=2, seed=3, L=L, p_mode="clogn", c_values=(0.0, 2.0))
+        oracles = [s["oracle"] for s in run_sweep(cfg).summaries]
+        if stated:
+            assert oracles == [math.exp(-1.0), math.exp(-math.exp(-2.0))]
+        else:
+            assert all(math.isnan(v) for v in oracles)
+
     def test_p_schedule(self):
         rows = connectivity_limit_experiment(50, (1.0,), trials=2, seed=1)
         assert rows[0].p == pytest.approx((math.log(50) + 1.0) / 50)

@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree, shortest_path
 from brutes import (
     kruskal_reference,
     all_graphs,
+    component_labels_reference,
     components_brute,
     diameter_brute,
     mst_weight_brute,
@@ -98,6 +99,12 @@ class TestComponents:
         assert s.size_counts() == {3: 1, 2: 2}
         assert s.tree_counts() == {2: 2}  # the triangle is not a tree
 
+    def test_size_ties_keep_first_vertex_order(self):
+        triangle, path = [(0, 1), (1, 2), (0, 2)], [(3, 4), (4, 5)]
+        assert components(ThresholdGraph.from_edges(6, triangle + path)).is_tree == (False, True)
+        swapped = [(5 - i, 5 - j) for i, j in triangle + path]
+        assert components(ThresholdGraph.from_edges(6, swapped)).is_tree == (True, False)
+
     def test_exhaustive_n5_against_matrix_powers(self):
         for bits, adj in all_graphs(5):
             g = graph_from_adj(adj)
@@ -106,6 +113,68 @@ class TestComponents:
             assert ours.kappa == len(brute)
             assert ours.sizes == tuple(len(c) for c in brute)
             assert is_connected(g) == (len(brute) == 1)
+
+
+def bit_reversed_path(bits):
+    """Path through all 2^bits vertices, visited in bit-reversed order of their ids."""
+    n = 1 << bits
+    order = [int(format(i, f"0{bits}b")[::-1], 2) for i in range(n)]
+    return ThresholdGraph.from_edges(n, zip(order, order[1:]))
+
+
+@st.composite
+def permuted_graphs(draw):
+    """A random tree on the first k vertices plus random extra edges, under a random vertex permutation."""
+    n = draw(st.integers(2, 150))
+    k = draw(st.integers(1, n))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, k)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=2 * n))
+    pairs += [(i, (i + d) % n) for i, d in extra]
+    perm = draw(st.permutations(range(n)))
+    return ThresholdGraph.from_edges(n, [(perm[i], perm[j]) for i, j in pairs])
+
+
+def adjacency(g):
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    adj[g.tails, g.heads] = adj[g.heads, g.tails] = True
+    return adj
+
+
+class TestComponentLabels:
+    """Hooking labels equal the union-find's exactly: same partition, same numbering."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=permuted_graphs())
+    def test_property_against_union_find_and_matrix_powers(self, g):
+        np.testing.assert_array_equal(graphs._component_labels(g), component_labels_reference(g))
+        brute = components_brute(adjacency(g))
+        s = components(g)
+        assert s.kappa == len(brute)
+        assert s.sizes == tuple(len(c) for c in brute)
+        inside = [int(sum(t in c for t in g.tails.tolist())) for c in brute]
+        assert s.is_tree == tuple(m == len(c) - 1 for m, c in zip(inside, brute))
+        assert is_connected(g) == (len(brute) == 1)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(bit_reversed_path(10), id="bit-reversed-path-1024"),
+            pytest.param(bit_reversed_path(14), id="bit-reversed-path-16384"),
+            pytest.param(
+                ThresholdGraph.from_edges(1023, [(1022 - v, 1022 - (v - 1) // 2) for v in range(1, 1023)]),
+                id="binary-tree-reversed-ids",
+            ),
+            pytest.param(ThresholdGraph.from_edges(500, [(v, 499) for v in range(499)]), id="star-centre-last"),
+            pytest.param(ThresholdGraph.from_edges(300, [(2 * v, 2 * v + 1) for v in range(150)]), id="matching"),
+            pytest.param(ThresholdGraph.from_edges(40, []), id="empty"),
+            pytest.param(ThresholdGraph.from_edges(2, []), id="n2-empty"),
+            pytest.param(ThresholdGraph.from_edges(2, [(0, 1)]), id="n2-edge"),
+        ],
+    )
+    def test_named_cases(self, g):
+        labels = graphs._component_labels(g)
+        np.testing.assert_array_equal(labels, component_labels_reference(g))
+        assert components(g).kappa == int(labels.max()) + 1 == g.n - g.edge_count  # all are forests
 
 
 class TestConnectivityAndDiameter:
