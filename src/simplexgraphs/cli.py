@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: sample, oracle, sweep, mst, atsp, selftest.
-Exit codes: 0 success, 2 config error, 3 capacity error.
+Exit codes: 0 success, 2 config error, 3 capacity error (a size cap, or out of memory).
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

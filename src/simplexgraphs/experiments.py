@@ -236,9 +236,8 @@ def resolve_dvalues(spec: str, n: int) -> np.ndarray:
         return np.ones(n)
     if not spec.startswith("dvalues:"):
         raise ConfigError(f"expected a dvalues spec, got {spec!r}")
-    parts = spec[8:].split(",")
-    values = []
-    for part in parts:
+    values, counts = [], []
+    for part in spec[8:].split(","):
         if "x" not in part:
             raise ConfigError(f"bad dvalues item {part!r} (want <value>x<count>)")
         v, k = part.split("x", 1)
@@ -248,16 +247,19 @@ def resolve_dvalues(spec: str, n: int) -> np.ndarray:
             raise ConfigError(f"bad dvalues item {part!r} (want <value>x<count>)") from None
         if not 0 < value < math.inf or count < 0:
             raise ConfigError(f"dvalues item {part!r}: the value must be finite and positive, the count >= 0")
-        values.extend([value] * count)
-    if len(values) != n:
-        raise ConfigError(f"dvalues counts sum to {len(values)}, config says n={n}")
+        values.append(value)
+        counts.append(count)
+    # checked before any factor is built, so a huge count costs no memory
+    if sum(counts) != n:
+        raise ConfigError(f"dvalues counts sum to {sum(counts)}, config says n={n}")
     # Rounding is monotone, so the two smallest and the two largest factors
     # bound every product d_v * d_w with v != w.
-    d = sorted(values)
-    lo, hi = d[0] * d[1], d[-2] * d[-1]
+    d = np.repeat(values, counts)
+    s = np.sort(d).tolist()
+    lo, hi = s[0] * s[1], s[-2] * s[-1]
     if not (lo > 0 and hi < math.inf):
         raise ConfigError(f"dvalues {spec!r}: the products d_v*d_w run from {lo:g} to {hi:g}, need finite and positive")
-    return np.asarray(values)
+    return d
 
 
 def _resolve_coefficients(spec: str, count: int, seed: int, name: str) -> float | np.ndarray:

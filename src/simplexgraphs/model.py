@@ -3,11 +3,13 @@
 Edge weights live in a flat coordinate vector indexed by a canonical
 lexicographic order over vertex pairs.  Undirected pairs (i, j), i < j, map to
 
-    index(i, j) = i*n - i*(i+1)/2 + (j - i - 1),
+    index(i, j) = start(i) + (j - i - 1),    start(k) = k*(2n-k-1)/2,
 
-directed ordered pairs i != j to ``i*(n-1) + (j - [j > i])``: the n x n matrix
-read row-major without its diagonal (``off_diagonal``).  Both maps are
-O(1) in each direction and vectorize over numpy arrays.
+where start(k) is the first coordinate of row k; the inverse finds the row by
+a binary search over the n integer row starts, so it is exact with no
+floating point.  Directed ordered pairs i != j map to ``i*(n-1) + (j - [j > i])``:
+the n x n matrix read row-major without its diagonal (``off_diagonal``), inverted
+by one divmod.  Every map vectorizes over numpy arrays.
 
 All types here are immutable after construction (arrays are frozen), so they
 can be shared freely across concurrent trial workers.
@@ -87,7 +89,7 @@ class EdgeSpace:
             return i * (self.n - 1) + np.where(j > i, j - 1, j)
         lo = np.minimum(i, j)
         hi = np.maximum(i, j)
-        return lo * self.n - lo * (lo + 1) // 2 + (hi - lo - 1)
+        return self._row_start(lo) + hi - lo - 1
 
     def pair_arrays(self, e: np.ndarray):
         """Vectorized inverse map; returns (tails, heads) with tails < heads when undirected."""
@@ -95,14 +97,9 @@ class EdgeSpace:
         if self.directed:
             i, r = np.divmod(e, self.n - 1)
             return i, np.where(r >= i, r + 1, r)
-        b = 2 * self.n - 1
-        i = ((b - np.sqrt(b * b - 8.0 * e)) / 2.0).astype(np.int64)
-        # one-step correction for float jitter in the sqrt
-        start = lambda k: k * (2 * self.n - k - 1) // 2  # noqa: E731
-        i = np.where(start(i + 1) <= e, i + 1, i)
-        i = np.where(start(i) > e, i - 1, i)
-        j = e - start(i) + i + 1
-        return i, j
+        starts = self._row_start(np.arange(self.n, dtype=np.int64))
+        i = np.searchsorted(starts, e, side="right") - 1
+        return i, e - starts[i] + i + 1
 
     def all_pairs(self):
         """(tails, heads) arrays for every coordinate in canonical order."""
@@ -116,6 +113,10 @@ class EdgeSpace:
         m = np.full((n, n), diagonal, dtype=float)
         off_diagonal(m)[...] = np.reshape(values, (n - 1, n))
         return m
+
+    def _row_start(self, k):
+        """Undirected coordinate of the pair (k, k+1), the first of row k."""
+        return k * (2 * self.n - k - 1) // 2
 
     def _check_pair(self, i: int, j: int):
         if i == j:
@@ -181,9 +182,9 @@ class SimplexModel:
             raise ValueError(f"alpha range [{lo:g}, {hi:g}] violates declared bound [1/{self.M:g}, {self.M:g}]")
 
     @classmethod
-    def uniform(cls, n: int, L: float | None = None, directed: bool = False) -> "SimplexModel":
-        """All-ones coefficients; the exchangeable case."""
-        return cls(EdgeSpace(n, directed=directed), 1.0, L)
+    def uniform(cls, n: int, L: float | None = None) -> "SimplexModel":
+        """All-ones coefficients on an undirected space; the exchangeable case."""
+        return cls(EdgeSpace(n), 1.0, L)
 
     @property
     def unit_alpha(self) -> bool:

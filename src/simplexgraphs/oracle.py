@@ -228,34 +228,26 @@ def _mst_series_exact(weights: DecomposableWeights) -> float:
 
 
 def mst_series(weights: DecomposableWeights, mode: str = "grouped") -> float:
-    """Evaluate the spanning-tree series in one of three modes.
+    """Evaluate the spanning-tree series in one of two modes.
 
     exact      full subset enumeration (n <= SERIES_EXACT_MAX_N)
     grouped    count-vector compression over distinct factor values (at most
                SERIES_GROUPED_MAX_VALUES of them)
-    truncated  grouped terms, stopping once three consecutive terms each
-               contribute < 1e-12 of the partial sum
     """
     if mode == "exact":
         return _mst_series_exact(weights)
-    if mode not in ("grouped", "truncated"):
+    if mode != "grouped":
         raise ValueError(f"unknown mode {mode!r}")
     values, counts = weights.distinct()
-    if mode == "grouped" and len(values) > SERIES_GROUPED_MAX_VALUES:
+    if len(values) > SERIES_GROUPED_MAX_VALUES:
         raise ValueError(
             f"grouped mode supports at most {SERIES_GROUPED_MAX_VALUES} distinct factor values, got {len(values)}"
         )
     log_d_total = math.log(weights.total)
     log_binoms = [log_binomial(int(c), np.arange(int(c) + 1)) for c in counts]
     total = 0.0
-    small_streak = 0
     for k in range(1, weights.n + 1):
-        term = _series_term_grouped(k, values, counts, log_binoms, log_d_total)
-        total += term
-        if mode == "truncated":
-            small_streak = small_streak + 1 if term < 1e-12 * total else 0
-            if small_streak >= 3:
-                break
+        total += _series_term_grouped(k, values, counts, log_binoms, log_d_total)
     return total
 
 

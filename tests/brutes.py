@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive: boolean matrix powers for reachability,
-a Python union-find for component labels, full enumeration over Prufer
-sequences for spanning trees, permutation scans for matchings, assignments and
-tours, inclusion-exclusion over the exact absence formula.
+a float-sqrt inverse of the undirected pair index, a Python union-find for
+component labels, full enumeration over Prufer sequences for spanning trees,
+permutation scans for matchings, assignments and tours, inclusion-exclusion
+over the exact absence formula.
 These never share code with the implementations they check.
 """
 
@@ -53,6 +54,24 @@ def components_brute(adj):
         comps.append(comp)
     comps.sort(key=lambda c: (-len(c), min(c)))
     return comps
+
+
+def pair_arrays_sqrt_reference(n, e):
+    """Undirected (tails, heads) of coordinates ``e`` by the quadratic formula.
+
+    Row i is the largest k with k*(2n-k-1)/2 <= e.  The float sqrt gives it up
+    to rounding, and one integer step each way corrects the jitter.
+    """
+    e = np.asarray(e, dtype=np.int64)
+    b = 2 * n - 1
+    i = ((b - np.sqrt(b * b - 8.0 * e)) / 2.0).astype(np.int64)
+
+    def start(k):
+        return k * (2 * n - k - 1) // 2
+
+    i = np.where(start(i + 1) <= e, i + 1, i)
+    i = np.where(start(i) > e, i - 1, i)
+    return i, e - start(i) + i + 1
 
 
 def component_labels_reference(g):

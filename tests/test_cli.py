@@ -1,10 +1,11 @@
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from simplexgraphs import experiments
+from simplexgraphs import DensityModel, experiments
 from simplexgraphs.cli import main
 
 
@@ -36,6 +37,8 @@ def assert_one_line_config_error(capsys):
         ["sample", "--n", "4", "--L", "1.5e308", "--trials", "30"],
         ["sample", "--n", "12", "--L", "1e-320"],
         ["mst", "--n", "4", "--d", "dvalues:1e-160x4"],
+        # a huge count is refused before any factor is built
+        ["mst", "--n", "30", "--d", "dvalues:1x10000000000"],
         ["mst", "--n", "1"],
         ["mst", "--n", "6", "--trials", "-1"],
         ["atsp", "--n", "1"],
@@ -52,6 +55,7 @@ def test_bad_input_exit_2(capsys, argv):
     "setting",
     ["kind=connectivity\np=0.3\nL=-1", "kind=connectivity\np=0.3\nL=inf",
      "kind=connectivity\np=0.3\nalpha=dvalues:nanx6", "kind=connectivity\np=0.3\nalpha=dvalues:1e-300x6",
+     "kind=connectivity\np=0.3\nalpha=dvalues:1x10000000000",
      "kind=mst\nalpha=dvalues:1e200x6", "kind=mst\nL=-1", "kind=atsp\nL=inf", "kind=atsp\nL=1.5e308",
      "kind=", "kind=mst\nn=", "kind=mst\ntrials=", "kind=mst\nseed="],
 )
@@ -168,6 +172,24 @@ class TestSweepCommand:
         config.write_text("kind=hamilton\nn=30\np=0.3\ntrials=2\nseed=2\n")
         assert main(["sweep", "--config", str(config)]) == 3
         assert "capacity error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", sorted({1, min(2, os.cpu_count() or 1)}))
+    @pytest.mark.parametrize(
+        "error, line",
+        [(MemoryError("Unable to allocate 149. GiB for an array"), "Unable to allocate 149. GiB for an array"),
+         (MemoryError(), "out of memory")],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_exit_3(self, tmp_path, capsys, monkeypatch, workers, error, line):
+        # a draw too large to allocate; pool workers inherit the patch under fork
+        def no_memory(model, rng):
+            raise error
+
+        monkeypatch.setattr(DensityModel, "sample", no_memory)
+        config = tmp_path / "conf.txt"
+        config.write_text(f"kind=connectivity\nn=30\np=0.3\ntrials=2\nseed=2\nworkers={workers}\n")
+        assert main(["sweep", "--config", str(config)]) == 3
+        assert capsys.readouterr() == ("", f"capacity error: {line}\n")
 
     def test_trials_override(self, tmp_path):
         config = tmp_path / "conf.txt"

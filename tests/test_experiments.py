@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,7 +28,7 @@ from simplexgraphs import (
     threshold_transition_experiment,
     wilson_interval,
 )
-from simplexgraphs.experiments import _build_context, _run_trial, _summarize, resolve_dvalues
+from simplexgraphs.experiments import _CONFIG_KEYS, _build_context, _run_trial, _summarize, resolve_dvalues
 
 BASIC = """
 kind=marginals
@@ -142,11 +143,17 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "spec", ["dvalues:-1x6", "dvalues:0x6", "dvalues:nanx6", "dvalues:infx6", "dvalues:1xabc", "dvalues:abcx6",
                  "dvalues:1x6,2x-2", "dvalues:1x6,2", "dvalues:1e-300x6", "dvalues:1e200x6",
-                 "dvalues:1e-200x2,1x4", "dvalues:1e160x2,1x4"],
+                 "dvalues:1e-200x2,1x4", "dvalues:1e160x2,1x4", "dvalues:1x10000000000", "dvalues:1x3,1x10000000000"],
     )
     def test_bad_dvalues_are_config_errors(self, spec):
         with pytest.raises(ConfigError, match="dvalues"):
             resolve_dvalues(spec, 6)
+
+    def test_readme_schema_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Config file schema\n", 1)[1]
+        table = re.search(r"^\|.*\|\n(?:\|.*\|\n)+", section, re.M).group(0)
+        assert sorted(re.findall(r"^\| `(\w+)` ", table, re.M)) == sorted(_CONFIG_KEYS)
 
     def test_workers_capped_at_cpu_count(self):
         # parsing only: a config over the cap must never reach a pool
@@ -294,7 +301,6 @@ FIRST_CALL_CASES = (
     "DensityModel.orthant_ball(2.0, EdgeSpace(9)).mean(0)",
     "mst_series(DecomposableWeights(np.repeat([1.0, 2.5], [4, 5])), mode='exact')",
     "mst_series(DecomposableWeights(np.repeat([1.0, 2.5, 0.5], [10, 12, 8])), mode='grouped')",
-    "mst_series(DecomposableWeights(np.repeat([1.0, 3.0], [30, 30])), mode='truncated')",
 )
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brutes import pair_arrays_sqrt_reference
 from simplexgraphs import (
     DecomposableWeights,
     EdgeSpace,
@@ -47,6 +48,8 @@ class TestEdgeIndex:
             assert np.array_equal(round_trip, np.arange(N))
             seen = set(zip(tails.tolist(), heads.tolist()))
             assert len(seen) == N
+            if not directed:
+                TestUndirectedDecode.assert_decodes(n, np.arange(N))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 300])
     def test_to_matrix_equals_pair_scatter(self, n):
@@ -81,6 +84,51 @@ class TestEdgeIndex:
             space.pair(6)
         with pytest.raises(ValueError):
             EdgeSpace(1)
+
+
+class TestUndirectedDecode:
+    """pair_arrays finds each coordinate's row among the integer row starts.
+
+    It must equal the float-sqrt inverse it replaced and round-trip through
+    index_arrays, with integer endpoints 0 <= tail < head < n.
+    """
+
+    @staticmethod
+    def assert_decodes(n, e):
+        space = EdgeSpace(n)
+        e = np.asarray(e, dtype=np.int64)
+        tails, heads = space.pair_arrays(e)
+        ref_tails, ref_heads = pair_arrays_sqrt_reference(n, e)
+        assert tails.dtype == heads.dtype == np.int64
+        assert np.array_equal(tails, ref_tails) and np.array_equal(heads, ref_heads)
+        assert np.array_equal(space.index_arrays(tails, heads), e)
+        assert ((0 <= tails) & (tails < heads) & (heads < n)).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4097, 10**5])
+    def test_row_ends_and_sampled_coordinates(self, n):
+        # row k holds the n-1-k pairs (k, k+1), ..., (k, n-1)
+        lengths = np.arange(n - 1, 0, -1)
+        first = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        last = first + lengths - 1
+        N = n * (n - 1) // 2
+        assert last[-1] == N - 1
+        inside = np.random.default_rng(n).integers(0, N, 10_000)
+        self.assert_decodes(n, np.concatenate((first, last, inside)))
+        space = EdgeSpace(n)
+        tails, heads = space.pair_arrays(first)
+        assert np.array_equal(tails, np.arange(n - 1)) and np.array_equal(heads, tails + 1)
+        assert np.array_equal(space.pair_arrays(last)[1], np.full(n - 1, n - 1))
+        assert space.pair(N - 1) == (n - 2, n - 1)
+        for e in (-1, N, N + n):
+            with pytest.raises(ValueError, match="out of range"):
+                space.pair(e)
+
+    @given(st.integers(2, 2 * 10**5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n * (n - 1) // 2 - 1))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        n, e = case
+        self.assert_decodes(n, [e])
+        assert EdgeSpace(n).pair(e) == tuple(int(v[0]) for v in pair_arrays_sqrt_reference(n, [e]))
 
 
 class TestSimplexModel:

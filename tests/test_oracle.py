@@ -301,11 +301,6 @@ class TestMstSeries:
         grouped = mst_series(w, "grouped")
         assert abs(exact - grouped) < 1e-10
 
-    def test_truncated_agrees_on_overlap(self):
-        for d in (np.ones(30), np.array([0.8] * 15 + [1.25] * 15)):
-            w = DecomposableWeights(d)
-            assert mst_series(w, "truncated") == pytest.approx(mst_series(w, "grouped"), abs=1e-11)
-
     def test_exact_capacity(self):
         with pytest.raises(CapacityError):
             mst_series(DecomposableWeights(np.ones(21)), "exact")
@@ -316,8 +311,9 @@ class TestMstSeries:
             mst_series(w, "grouped")
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            mst_series(DecomposableWeights(np.ones(4)), "symbolic")
+        for mode in ("symbolic", "truncated"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                mst_series(DecomposableWeights(np.ones(4)), mode)
 
 
 class TestCheckBasicBounds:
