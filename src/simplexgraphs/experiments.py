@@ -1,7 +1,8 @@
 """Seeded Monte Carlo harness: configs, sweeps, CSV output, named experiments.
 
-Every trial is reproducible in isolation: trial (p_index, t) draws from the
-counter-based stream ``p_index * 2^32 + t`` under the config's base seed, so
+Every trial is reproducible in isolation: trial (p_index, t) draws from
+stream ``p_index * 2^32 + t`` under the config's base seed (a PCG64DXSM
+generator keyed by ``SeedSequence([seed, stream])``, see ``SeededRng``), so
 results are byte-identical regardless of worker count or scheduling order.
 Model-level randomness (e.g. random bounded coefficients) uses a reserved
 stream of its own.

@@ -300,9 +300,10 @@ def mst_weight(x: WeightVector) -> tuple[float, list[tuple[int, int]]]:
     ``_KRUSKAL_BATCH * n``-th smallest weight (one ``partition``), sorted; it
     is exactly the head of the full stable order, which is built only if the
     tree is still unfinished.  Endpoints come from one vectorised
-    ``pair_arrays`` call per batch, and the union-find (path halving, union by
-    size) runs over plain ints.  Returns (total weight, list of n-1 tree
-    edges), the total summed in the order the edges join the tree.
+    ``pair_arrays`` call per batch (the first on the batch in index order, so
+    its row search runs on sorted keys), and the union-find (path halving,
+    union by size) runs over plain ints.  Returns (total weight, list of n-1
+    tree edges), the total summed in the order the edges join the tree.
     """
     space = x.space
     if space.directed:
@@ -310,16 +311,16 @@ def mst_weight(x: WeightVector) -> tuple[float, list[tuple[int, int]]]:
     n, w = space.n, x.x
     k = min(w.size, _KRUSKAL_BATCH * n)
     lighter = np.flatnonzero(w < np.partition(w, k)[k]) if k < w.size else np.arange(w.size)
-    head = lighter[np.argsort(w[lighter], kind="stable")]
+    order = np.argsort(w[lighter], kind="stable")
+    head = lighter[order]
     parent = list(range(n))
     size = [1] * n
     tree: list[tuple[int, int]] = []
     total = 0.0
 
-    def scan(edges: np.ndarray) -> bool:
+    def scan(tails: np.ndarray, heads: np.ndarray, weights: np.ndarray) -> bool:
         nonlocal total
-        tails, heads = space.pair_arrays(edges)
-        for i, j, we in zip(tails.tolist(), heads.tolist(), w[edges].tolist()):
+        for i, j, we in zip(tails.tolist(), heads.tolist(), weights.tolist()):
             a, b = i, j
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
@@ -337,6 +338,8 @@ def mst_weight(x: WeightVector) -> tuple[float, list[tuple[int, int]]]:
                 return True
         return False
 
-    if not scan(head):
-        scan(np.argsort(w, kind="stable")[head.size :])
+    tails, heads = space.pair_arrays(lighter)
+    if not scan(tails[order], heads[order], w[head]):
+        rest = np.argsort(w, kind="stable")[head.size :]
+        scan(*space.pair_arrays(rest), w[rest])
     return total, tree

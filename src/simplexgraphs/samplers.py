@@ -13,8 +13,9 @@ unit exponentials, y_e = L * E_e / (E_1 + ... + E_{N+1}) is uniform over
 {y >= 0 : sum y <= L}, and x_e = y_e / alpha_e lands in the weighted simplex.
 Rejection-free, O(N), and trivially seedable.
 
-Exponential variates come from the inverse CDF -log1p(-U) on a counter-based
-generator (Philox), so parallel trials split streams without state handoff.
+Exponential variates come from the inverse CDF -log1p(-U) on numpy's
+PCG64DXSM generator, keyed per trial by ``SeedSequence([seed, stream])``, so
+parallel trials draw from independent streams without state handoff.
 The samplers work in place on the buffer the generator fills: every step
 after the draw is one ufunc with ``out=``, so a draw at n=3000 (4.5e6
 coordinates) touches one 36 MB array instead of one per arithmetic step.
@@ -22,12 +23,12 @@ The float operations and their order are those of the allocating formulas,
 so the output is bit-identical to them.
 
 A large exponential draw may use more than one thread: ``SeededRng(...,
-threads=k)`` splits it into up to k contiguous slices of whole Philox blocks,
-each at least ``_MIN_SLICE`` values, drawn and transformed on their own
-threads by generator copies advanced to the slice.  The numbers and the
-stream left after the draw equal the one-thread draw's, so no output depends
-on k.  The sweep harness passes ``cpu_count // workers`` (at least 1).  The
-threads start and end inside the draw.
+threads=k)`` splits it into up to k contiguous slices, each at least
+``_MIN_SLICE`` values, drawn and transformed on their own threads by
+generator copies advanced to the slice.  The numbers and the stream left
+after the draw equal the one-thread draw's, so no output depends on k.  The
+sweep harness passes ``cpu_count // workers`` (at least 1).  The threads
+start and end inside the draw.
 """
 
 from __future__ import annotations
@@ -51,20 +52,20 @@ _MIN_SLICE = 1 << 17
 
 
 class SeededRng:
-    """Counter-based random stream keyed by (seed, stream).
+    """Random stream keyed by (seed, stream): PCG64DXSM seeded by ``SeedSequence([seed, stream])``.
 
-    Identical (seed, stream) pairs reproduce identical draw sequences;
-    distinct streams are statistically independent.  ``threads`` caps how
-    many threads one large ``exponential`` draw may use; any value gives the
-    same numbers.
+    Both keys are taken mod 2^64.  Identical (seed, stream) pairs reproduce
+    identical draw sequences; distinct streams under one seed are
+    statistically independent.  ``threads`` caps how many threads one large
+    ``exponential`` draw may use; any value gives the same numbers.
     """
 
     def __init__(self, seed: int, stream: int = 0, threads: int = 1):
         self.seed = int(seed)
         self.stream = int(stream)
         self.threads = int(threads)
-        key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        key = np.random.SeedSequence([self.seed % 2**64, self.stream % 2**64])
+        self._gen = np.random.Generator(np.random.PCG64DXSM(key))
 
     def uniform(self, size=None):
         return self._gen.random(size)
@@ -80,25 +81,31 @@ class SeededRng:
     def _split_exponential(self, size) -> np.ndarray | None:
         """The draw of ``exponential(size)`` in contiguous slices on up to ``threads`` threads.
 
-        Philox turns counter c into a block of 4 outputs, so the slice that
-        starts at value 4b is drawn by a copy of the generator advanced by b
-        blocks.  The generator itself draws the last slice, tail included,
-        so its state afterwards is the one the sequential draw leaves.  None
-        (draw sequentially) when the generator is part way through a block
-        or the draw is too small to give two slices of ``_MIN_SLICE``.
+        Each double takes one PCG64DXSM output and ``advance(a)`` skips
+        exactly a outputs, so the slice that starts at value a is drawn by a
+        copy of the generator advanced by a.  The generator itself draws the
+        last slice, so its state afterwards is the one the one-thread draw
+        leaves.  None (draw on one thread) when the draw is too small to give
+        two slices of ``_MIN_SLICE``.
         """
-        blocks = math.prod(np.atleast_1d(size).tolist()) // 4
-        slices = min(self.threads, blocks // (_MIN_SLICE // 4))
+        count = math.prod(np.atleast_1d(size).tolist())
+        slices = min(self.threads, count // _MIN_SLICE)
         if slices < 2:
             return None
         bitgen = self._gen.bit_generator
         state = bitgen.state
-        if state["buffer_pos"] != 4 or state["has_uint32"]:
-            return None
-        counter, key = state["state"]["counter"], state["state"]["key"]
         out = np.empty(size)
         flat = out.reshape(-1)
-        starts = [4 * (i * blocks // slices) for i in range(slices)]
+        starts = [i * count // slices for i in range(slices)]
+
+        def at(start: int) -> np.random.PCG64DXSM:
+            # advance() also drops the half-used output of a 32-bit draw;
+            # random() never reads it, but the next 32-bit draw does
+            copy = np.random.PCG64DXSM()
+            copy.state = state
+            copy.advance(start)
+            copy.state = {**copy.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+            return copy
 
         def fill(gen: np.random.Generator, start: int, stop: int) -> None:
             chunk = flat[start:stop]
@@ -107,12 +114,9 @@ class SeededRng:
 
         # the helper threads start and end inside this call: none outlives the draw
         with ThreadPoolExecutor(max_workers=slices - 1) as pool:
-            helpers = [
-                pool.submit(fill, np.random.Generator(np.random.Philox(counter=counter, key=key).advance(a // 4)), a, b)
-                for a, b in zip(starts, starts[1:])
-            ]
-            bitgen.advance(starts[-1] // 4)
-            fill(self._gen, starts[-1], flat.size)
+            helpers = [pool.submit(fill, np.random.Generator(at(a)), a, b) for a, b in zip(starts, starts[1:])]
+            bitgen.state = at(starts[-1]).state
+            fill(self._gen, starts[-1], count)
             for h in helpers:
                 h.result()
         return out

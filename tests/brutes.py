@@ -4,7 +4,8 @@ Everything here is deliberately naive: boolean matrix powers for reachability,
 a float-sqrt inverse of the undirected pair index, a Python union-find for
 component labels, full enumeration over Prufer sequences for spanning trees,
 permutation scans for matchings, assignments and tours, inclusion-exclusion
-over the exact absence formula.
+over the exact absence formula, and the former Philox generator as the
+reference for the law of the draws.
 These never share code with the implementations they check.
 """
 
@@ -273,3 +274,25 @@ def orthant_ball_reference(radius, space, rng):
     u = float(rng.uniform())
     r = radius * u ** (1.0 / N)
     return np.abs(g) * (r / np.linalg.norm(g))
+
+
+class PhiloxRng:
+    """The former ``SeededRng``: Philox keyed by (seed mod 2^64, stream mod 2^64).
+
+    The reference generator for the two-sample tests of the law: every frozen
+    CSV hash before PCG64DXSM was recorded from these draws.  It draws on one
+    thread whatever ``threads`` says, which gave the same numbers.
+    """
+
+    def __init__(self, seed, stream=0, threads=1):
+        key = np.array([int(seed) % 2**64, int(stream) % 2**64], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
+
+    def uniform(self, size=None):
+        return self._gen.random(size)
+
+    def exponential(self, size=None):
+        return -np.log1p(-self._gen.random(size))
+
+    def standard_normal(self, size=None):
+        return self._gen.standard_normal(size)

@@ -15,76 +15,76 @@ from simplexgraphs.experiments import ExperimentConfig, run_sweep
 FROZEN = {
     "connectivity-p0eps": (
         dict(kind="connectivity", n=60, trials=20, p_mode="p0eps", eps=0.3),
-        "bcc0d8b293aa9f64f9a10a45d61de99f298bf02fad40f3cad3047837f319c21f",
+        "7ad426647acc96b9843961c3f3c9e31b42eb5635c1ea517aaabc5539e17db742",
     ),
     "connectivity-clogn": (
         dict(kind="connectivity", n=200, trials=20, p_mode="clogn", c_values=(-1.0, 0.0, 1.0)),
-        "a069bd14f9410ca4a12692542561b5abc98a920a84116c796ea15fcd6d255d9d",
+        "f80e7e914137e7edf6a0e1393d7cb6105bca7142c59f1079099e99ee41cefdef",
     ),
     "matching": (
         dict(kind="matching", n=20, trials=20, p_values=(0.3, 0.6)),
-        "5980968f6f053cf58f9821eed3eb666fa08e72067a4bdc5faf7ee192cfb4937e",
+        "a3da62530cfba5f2d3c64a9b72fe085bc0efe45da0f57beebba9c4c8c33f4194",
     ),
     "giant": (
         dict(kind="giant", n=60, trials=20, p_values=(0.05,)),
-        "a52cc4c78f125f8b4a4478c74e4f2b58607a253ce0c4ed17bc5c95915f7ca01b",
+        "1c944d85ab6002a72d743bc295747d883e84cfd13ffc184f0e29586f8e2d7770",
     ),
     # average degree 0.5 and 1.5: hundreds of components per trial, so the
     # component labels and the size ties are pinned, not only the giant.
     "giant-subcritical": (
         dict(kind="giant", n=400, trials=10, p_values=(0.00125, 0.00375)),
-        "671ab4a08f7b2e91bafbfb4ec15b02e2cd9ea479df80c364713c4c413759436e",
+        "f5a59e465f64f57d7c5f61d65b8d8884b8ec1791e71b1cf6ceefc823221d046f",
     ),
     "diameter": (
         dict(kind="diameter", n=60, trials=10, p_mode="theta", theta=0.6),
-        "6cd5c81257094b4a95456657fcf0d27ef3b48df42e950786ca496edfbdc8751d",
+        "7a40199b41b9f5e9ce36758ad4e35bcd455f6f527f4c50efd544a7a409a86f1b",
     ),
     # n=800 has N+1 >= 2^18 coordinates and diameter 4: it takes the split
     # draw and the BFS level that pulls only unfinished columns.
     "diameter-split": (
         dict(kind="diameter", n=800, trials=4, p_mode="theta", theta=0.45),
-        "248fc3b7191894d3cf07b7b682772691ebd17a35f74666a7e487e0c7a60bcebe",
+        "d76b47765740bff6c6e58a7f1f8696530b9c29d44065bbf94e271273ab93fc32",
     ),
     "hamilton": (
         dict(kind="hamilton", n=12, trials=10, p_values=(0.5,)),
-        "d851882989db8041ccfbd596b31d65097c46c16e33d8941459320112bd1a3ef1",
+        "d08817e028587164a30a0580f2ec681531b1619752f3fa9a999b7835d764500d",
     ),
     "mst": (
         dict(kind="mst", n=30, trials=20),
-        "a69c630ef1ef6852bd61b00653ec30091d66176728b053fd4d78f3514b8ca109",
+        "b3350cd329c76406bbf9a6a15edc11c30139f8515b4db011cda2aa50b9244787",
     ),
     "mst-dvalues": (
         dict(kind="mst", n=30, trials=20, alpha="dvalues:0.5x15,2x15"),
-        "5471cea19ae869c021fd5f8b2e4da3072ed82a1a1afa43286d131b321312377f",
+        "1ca7c3be96ac7a979bd29a32a3b6d9687b8b257a0e13bba2940ce24efaf239fd",
     ),
     "atsp": (
         dict(kind="atsp", n=12, trials=8, beta="uniform:2"),
-        "299bc06ab44a0253b4c786e458b5ce416c35deb81ace0b04bb6fde9238b80779",
+        "eae87b515f87207ad0d7a218643c0b5528845fac5e277f0192b2bbabe3a68024",
     ),
     # unit alpha: the directed draw that skips the divide by alpha
     "atsp-ones": (
         dict(kind="atsp", n=40, trials=3),
-        "7176f23addc3dc99983351eacc974b9cd3e415cea2da850b19cee2bf3341b83c",
+        "a1312c16d90a41a6813a4e3237bfb31d790f885b43a54968c640d41880494f84",
     ),
     "moments": (
         dict(kind="moments", n=12, trials=50, p_values=(0.2,)),
-        "cba34e75a20c1b21fae1773ee56fb5c6789f83eab88913a5c4ab7bb581415fcf",
+        "d37ff87eba6fc62635674572f31309ac34ce774845d28e86709e82330504cf31",
     ),
     "moments-exponential": (
         dict(kind="moments", model="exponential", rate=2.0, n=12, trials=50, p_values=(0.2,)),
-        "7390171f033bc52ed3bafa3f1027753c660b550164d4c24f8bf1ae398bb4407c",
+        "a256a6a761a76dc12f179214145aaf4a59c233ad6c514a5a0cbe864668b2b124",
     ),
     "moments-exponential-split": (
         dict(kind="moments", model="exponential", rate=2.0, n=800, trials=4, p_values=(0.01,)),
-        "1c72f21fd1cd939ddefdf57af7de21cd38783eb261cfea65c59fc8710bb11014",
+        "b7bbafb81b36b391589745bd0c842ebf2d52b265474e9eed522c387c57ea6690",
     ),
     "moments-ball": (
         dict(kind="moments", model="ball", radius=1.5, n=12, trials=50, p_values=(0.2,)),
-        "9dd16087a9944fa736db687e21e38175c79a80e10d8c50888d2be57e55931f99",
+        "808b8dafe1f1d31198bda1bf7e26810fd93404470cd0b9054ba85d2b2e4ca61e",
     ),
     "marginals": (
         dict(kind="marginals", n=6, trials=25, p_values=(0.4, 0.8)),
-        "56321b6cd31d5e3df7f87d7dd17b2e21a5f9986730caf2d326d4380cbc24c936",
+        "2f513951fda5e3ece6b4d45db1e17dc160f6864478b5b97feaf3667740562626",
     ),
 }
 

@@ -203,10 +203,23 @@ class TestInPlaceDrawsMatchReference:
 _CUTOFF = 2 * _MIN_SLICE  # the smallest draw two threads split
 
 
+# What the stream draws before the split.  "mid-block" (3 doubles) is an odd
+# offset; it left the former Philox generator part way through its 4-value
+# block.  A 32-bit draw takes half of a 64-bit output and keeps the other
+# half for the next 32-bit draw, so "1-uint32" and "3-uint32" end with half
+# an output buffered, which the split must hand on.
+_PRIOR_DRAWS = {
+    "fresh": lambda rng: None,
+    "mid-block": lambda rng: rng.uniform(3),
+    "1-uint32": lambda rng: rng._gen.integers(2**32, size=1, dtype=np.uint32),
+    "3-uint32": lambda rng: rng._gen.integers(2**32, size=3, dtype=np.uint32),
+}
+
+
 class TestSplitDraw:
     """A draw split across threads equals the one-thread draw, and leaves the same stream behind."""
 
-    @pytest.mark.parametrize("prior", [0, 3], ids=["fresh", "mid-block"])
+    @pytest.mark.parametrize("prior", list(_PRIOR_DRAWS))
     @pytest.mark.parametrize(
         "size",
         [_CUTOFF - 4, _CUTOFF - 1, _CUTOFF, _CUTOFF + 1, _CUTOFF + 6, 3 * _MIN_SLICE + 3, (3, _MIN_SLICE + 5)],
@@ -215,16 +228,17 @@ class TestSplitDraw:
         draws = []
         for threads in (1, 2, 3):
             rng = SeededRng(8, 21, threads=threads)
-            if prior:
-                rng.uniform(prior)
+            _PRIOR_DRAWS[prior](rng)
             before = threading.active_count()
             e = rng.exponential(size)
             assert threading.active_count() == before
-            draws.append((e, rng.uniform(7), rng.standard_normal(3)))
-        (e1, u1, z1) = draws[0]
+            after = rng._gen.integers(2**32, size=3, dtype=np.uint32)  # the first reads any buffered half
+            draws.append((e, after, rng.uniform(7), rng.standard_normal(3)))
+        (e1, i1, u1, z1) = draws[0]
         assert e1.shape == np.empty(size).shape
-        for e, u, z in draws[1:]:
+        for e, i, u, z in draws[1:]:
             assert np.array_equal(e.view(np.uint64), e1.view(np.uint64))
+            assert np.array_equal(i, i1)
             assert np.array_equal(u.view(np.uint64), u1.view(np.uint64))
             assert np.array_equal(z.view(np.uint64), z1.view(np.uint64))
 
@@ -234,8 +248,8 @@ class TestSplitDraw:
             (_CUTOFF, 0, 2, True),
             (_CUTOFF - 1, 0, 2, False),  # too small for two slices of _MIN_SLICE
             (3 * _MIN_SLICE, 0, 3, True),
-            (_CUTOFF, 3, 2, False),  # part way through a Philox block
-            (_CUTOFF, 4, 2, True),  # one whole block drawn before
+            (_CUTOFF, 3, 2, True),  # any offset splits
+            (_CUTOFF, 4, 2, True),
             (_CUTOFF, 0, 1, False),
         ],
     )
@@ -244,6 +258,15 @@ class TestSplitDraw:
         if prior:
             rng.uniform(prior)
         assert (rng._split_exponential(size) is not None) == split
+
+
+class TestSeededRng:
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (8, 21), (-3, 1 << 48), (2**64 + 5, -1)])
+    def test_seeding_is_pinned(self, seed, stream):
+        """The one seeding path: PCG64DXSM keyed by SeedSequence([seed, stream]), each mod 2^64."""
+        key = np.random.SeedSequence([seed % 2**64, stream % 2**64])
+        expected = np.random.Generator(np.random.PCG64DXSM(key)).random(1000)
+        assert np.array_equal(SeededRng(seed, stream).uniform(1000).view(np.uint64), expected.view(np.uint64))
 
 
 class TestExponentialSampler:
