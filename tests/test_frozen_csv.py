@@ -45,6 +45,12 @@ FROZEN = {
         dict(kind="diameter", n=800, trials=4, p_mode="theta", theta=0.45),
         "d76b47765740bff6c6e58a7f1f8696530b9c29d44065bbf94e271273ab93fc32",
     ),
+    # mean degree ~82 against a reach density ~0.28 after the first level:
+    # the second BFS level pulls a prefix of each neighbour list first.
+    "diameter-dense": (
+        dict(kind="diameter", n=300, trials=4, p_mode="theta", theta=0.8),
+        "b965be1e968b27c2a0285183870ca40f35193c77544d49befa052d584afc3269",
+    ),
     "hamilton": (
         dict(kind="hamilton", n=12, trials=10, p_values=(0.5,)),
         "d08817e028587164a30a0580f2ec681531b1619752f3fa9a999b7835d764500d",
