@@ -3,7 +3,9 @@
 Connectivity and component structure run on min-label hooking with pointer
 jumping (a few numpy calls per round); diameter runs a bit-parallel BFS from
 all sources at once (one bit per source and vertex, a few numpy calls over the
-adjacency lists per BFS level); the perfect-matching check works across the
+adjacency lists per BFS level, each vertex pulling its neighbours' reach and,
+on dense levels, only as much of its list as it takes to hear from every
+source); the perfect-matching check works across the
 fixed vertex split [0, n/2) vs [n/2, n) with scipy's Hopcroft-Karp; the
 Hamilton-cycle decision is exact backtracking with pruning, capped at
 ``HAMILTON_MAX_N`` vertices.
@@ -11,8 +13,8 @@ Hamilton-cycle decision is exact backtracking with pruning, capped at
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +35,6 @@ class ComponentSummary:
     @property
     def largest_fraction(self) -> float:
         return self.sizes[0] / self.n
-
-    def size_counts(self) -> dict[int, int]:
-        """kappa_k: number of components with exactly k vertices."""
-        return dict(Counter(self.sizes))
-
-    def tree_counts(self) -> dict[int, int]:
-        """tau_k: number of tree components with exactly k vertices."""
-        return dict(Counter(s for s, t in zip(self.sizes, self.is_tree) if t))
 
 
 def _component_labels(g: ThresholdGraph) -> np.ndarray:
@@ -81,9 +75,49 @@ def is_connected(g: ThresholdGraph) -> bool:
     return g.edge_count >= g.n - 1 and not _component_labels(g).any()
 
 
-# Byte budget of one gather of frontier words over the adjacency lists; it sets
+# Byte budget of one gather of reach words over the adjacency lists; it sets
 # how many sources one block of the all-sources BFS serves.
 _GATHER_BYTES = 1 << 22
+
+# Chance, about, that a column still misses a source of its block after a
+# level has pulled only a prefix of its neighbour list; it sets that prefix.
+_PREFIX_MISS = 1e-2
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Set bits in a uint64 array, by SWAR steps (``np.bitwise_count`` needs numpy 2).
+
+    The steps leave each byte holding its own bit count; the multiply by h01
+    sums the eight bytes into the top one.
+    """
+    m1, m2, m4, h01 = (np.uint64(b * 0x0101010101010101) for b in (0x55, 0x33, 0x0F, 0x01))
+    x = words - ((words >> np.uint64(1)) & m1)
+    x = (x & m2) + ((x >> np.uint64(2)) & m2)
+    x += x >> np.uint64(4)
+    x &= m4
+    x *= h01
+    x >>= np.uint64(56)
+    return int(x.sum())
+
+
+def _lists(nbrs, starts, deg, cols, lo=0, hi=None):
+    """Positions [lo, hi) of each listed column's neighbour list, back to back.
+
+    Returns the neighbours and the start of each column's group among them.
+    A list shorter than ``hi`` ends at its own length, ``hi=None`` runs to
+    the end of every list, and every listed column must have more than
+    ``lo`` neighbours.
+    """
+    lens = (deg[cols] if hi is None else np.minimum(deg[cols], hi)) - lo
+    firsts = np.cumsum(lens) - lens
+    rows = np.arange(firsts[-1] + lens[-1]) + np.repeat(starts[cols] + lo - firsts, lens)
+    return nbrs[rows], firsts
+
+
+def _pull(reach, lists):
+    """OR of the reach words over each group of neighbours from ``_lists``."""
+    got, firsts = lists
+    return np.bitwise_or.reduceat(np.take(reach, got, axis=1), firsts, axis=1)
 
 
 def diameter(g: ThresholdGraph) -> int | float:
@@ -95,13 +129,34 @@ def diameter(g: ThresholdGraph) -> int | float:
     rows of n, so each pass below runs along contiguous rows.  The graph is
     held once as a symmetric adjacency grouped by vertex: each edge listed
     under both ends, grouped by one sort, with ``indptr`` from the degrees.
-    One BFS level ORs each vertex's neighbours' frontier words into it: one
+
+    One BFS level ORs each vertex's neighbours' reach words into it: one
     ``take`` over the neighbour lists and one ``bitwise_or.reduceat`` over
-    the n groups.  Once fewer than half of the columns (vertices) still miss
-    a source of the block, a level gathers only their neighbour lists; the
-    finished columns would gain no new bit.  W is at most the number of
-    words whose gather over the adjacency fits ``_GATHER_BYTES``, and the
-    blocks are balanced so the last one is not mostly empty.
+    the groups.  Pulling reach, not only the last level's frontier, gives
+    the same words: a source in a neighbour's reach from an earlier level is
+    already in the vertex's own reach.  Reach is denser, though, so a column
+    (vertex) often holds every source of the block after a few neighbours.
+    That decides how much a level gathers (never its result, as OR is
+    monotone and the finished columns would gain no bit):
+
+    * Once fewer than half of the columns still miss a source, the level
+      gathers only their neighbour lists.  That is already little work, so
+      the density below is not counted.
+    * Otherwise, with d the block's reach density (set bits over
+      sources * n), a column misses some source after k neighbours with
+      chance about ``sources * (1 - d)**k``; k is the least length that
+      puts this below ``_PREFIX_MISS``.  When 2k is at most the mean
+      degree, the level gathers the first k neighbours of each unfinished
+      column, then the rest of the list only for columns still missing a
+      source (the bottom-up step of direction-optimizing BFS; Beamer,
+      Asanovic and Patterson, SC 2012).  When no column is finished yet, as
+      at the first level of a dense graph, the prefix lists are built once
+      per length and shared by the blocks.  Else the level gathers every
+      list.
+
+    W is at most the number of words whose gather over the adjacency fits
+    ``_GATHER_BYTES``, and the blocks are balanced so the last one is not
+    mostly empty.
     """
     n, m = g.n, g.edge_count
     deg = g.degrees()
@@ -123,6 +178,11 @@ def diameter(g: ThresholdGraph) -> int | float:
     words = -(-nwords // blocks)
     one = np.uint64(1)
     ecc_max = 1
+
+    @functools.cache
+    def prefix(k):  # the first k neighbours of every column
+        return _lists(nbrs, starts, deg, np.arange(n), hi=k)
+
     for s0 in range(0, n, 64 * words):
         s1 = min(n, s0 + 64 * words)
         # level 1: each block source reaches itself and its neighbours
@@ -132,24 +192,29 @@ def diameter(g: ThresholdGraph) -> int | float:
         off = np.repeat(off, deg[s0:s1])
         np.bitwise_or.at(reach, (off >> 6, nbrs[indptr[s0] : indptr[s1]]), one << (off & 63).astype(np.uint64))
         full = np.bitwise_or.reduce(reach, axis=1, keepdims=True)
-        frontier = reach
+        # sources * (1 - d)**k <= _PREFIX_MISS once k * -ln(1 - d) reaches this
+        need = math.log((s1 - s0) / _PREFIX_MISS)
         dist = 1
         while not (done := (reach == full).all(axis=0)).all():
-            open_cols = np.flatnonzero(~done)
-            if 2 * open_cols.size < n:
-                # only the unfinished columns: their neighbour lists, back to back
-                lens = deg[open_cols]
-                firsts = np.cumsum(lens) - lens
-                rows = np.arange(firsts[-1] + lens[-1]) + np.repeat(starts[open_cols] - firsts, lens)
-                nxt = np.zeros_like(reach)
-                nxt[:, open_cols] = np.bitwise_or.reduceat(np.take(frontier, nbrs[rows], axis=1), firsts, axis=1)
+            cols = np.flatnonzero(~done)
+            if 2 * cols.size < n:
+                pulled = _pull(reach, _lists(nbrs, starts, deg, cols))
             else:
-                nxt = np.bitwise_or.reduceat(np.take(frontier, nbrs, axis=1), starts, axis=1)
-            nxt &= ~reach
-            if not nxt.any():
+                # set bits: at level 1 the sources and their neighbours
+                bits = s1 - s0 + int(indptr[s1] - indptr[s0]) if dist == 1 else _popcount(reach)
+                k = max(1, math.ceil(need / -math.log1p(-bits / ((s1 - s0) * n))))
+                if k * n <= m:
+                    pulled = _pull(reach, prefix(k) if cols.size == n else _lists(nbrs, starts, deg, cols, hi=k))
+                    rest = (deg[cols] > k) & ((pulled | reach[:, cols]) != full).any(axis=0)
+                    if rest.any():
+                        pulled[:, rest] |= _pull(reach, _lists(nbrs, starts, deg, cols[rest], lo=k))
+                else:
+                    cols = slice(None)
+                    pulled = _pull(reach, (nbrs, starts))
+            pulled &= ~reach[:, cols]
+            if not pulled.any():
                 return math.inf
-            reach |= nxt
-            frontier = nxt
+            reach[:, cols] |= pulled
             dist += 1
         ecc_max = max(ecc_max, dist)
     return ecc_max

@@ -212,11 +212,6 @@ class SimplexModel:
         """alpha_v = sum over coordinates incident to v, for every vertex."""
         return self._vertex_alphas
 
-    def vertex_alpha(self, v: int) -> float:
-        if not 0 <= v < self.space.n:
-            raise ValueError(f"vertex {v} out of range for n={self.space.n}")
-        return float(self._vertex_alphas[v])
-
     def alpha_sum(self, edges) -> float:
         """alpha(S) = sum of coefficients over a set of coordinate indices."""
         idx = np.asarray(edges, dtype=np.int64)
@@ -258,10 +253,6 @@ class DecomposableWeights:
     def total(self) -> float:
         """D = sum of all vertex factors."""
         return float(self.d.sum())
-
-    def subset_sum(self, vertices) -> float:
-        """d_S = sum of factors over a vertex subset."""
-        return float(self.d[np.asarray(vertices, dtype=np.int64)].sum())
 
     def distinct(self):
         """(values, counts) of the distinct factor values."""
@@ -329,11 +320,6 @@ class ThresholdGraph:
     @property
     def edge_count(self) -> int:
         return int(self.edge_indices.size)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        e = EdgeSpace(self.n).index(i, j)
-        k = int(np.searchsorted(self.edge_indices, e))
-        return k < self.edge_indices.size and int(self.edge_indices[k]) == e
 
     def degrees(self) -> np.ndarray:
         deg = np.bincount(self.tails, minlength=self.n)

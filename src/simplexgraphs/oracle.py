@@ -121,9 +121,6 @@ class IsolationProfile:
             ratio = av * p / self.model.L
         return pow_one_minus(ratio, self.model.space.num_edges)
 
-    def xi_vertex(self, v: int, p: float) -> float:
-        return float(self.xi(p)[v])
-
     def total(self, p: float) -> float:
         """Expected number of isolated vertices, sum_v xi_v(p)."""
         return float(self.xi(p).sum())

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: boolean matrix powers for reachability,
 a float-sqrt inverse of the undirected pair index, a Python union-find for
-component labels, full enumeration over Prufer sequences for spanning trees,
+component labels, per-vertex and per-pair loops for coefficient sums, edge
+lookups and isolation probabilities, full enumeration over Prufer sequences
+for spanning trees,
 permutation scans for matchings, assignments and tours, inclusion-exclusion
 over the exact absence formula, and the former Philox generator as the
 reference for the law of the draws.
@@ -11,6 +13,7 @@ These never share code with the implementations they check.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -55,6 +58,38 @@ def components_brute(adj):
         comps.append(comp)
     comps.sort(key=lambda c: (-len(c), min(c)))
     return comps
+
+
+def component_census_brute(adj):
+    """(kappa_k, tau_k): the number of components, and of tree components, with k vertices."""
+    sizes, trees = Counter(), Counter()
+    for comp in components_brute(adj):
+        idx = sorted(comp)
+        sizes[len(idx)] += 1
+        if adj[np.ix_(idx, idx)].sum() // 2 == len(idx) - 1:
+            trees[len(idx)] += 1
+    return dict(sizes), dict(trees)
+
+
+def has_edge_brute(g, i, j):
+    """Is the pair (i, j), in either order, among the graph's edge indices?"""
+    return EdgeSpace(g.n).index(i, j) in set(g.edge_indices.tolist())
+
+
+def vertex_alpha_brute(model, v):
+    """alpha_v: the coefficients of the coordinates at v, summed in a loop over the other vertices."""
+    space = model.space
+    return math.fsum(float(model.alpha[space.index(v, w)]) for w in range(space.n) if w != v)
+
+
+def factor_sum_brute(weights, vertices):
+    """d_S: the vertex factors of a subset, summed in a loop."""
+    return math.fsum(float(weights.d[v]) for v in vertices)
+
+
+def xi_vertex_brute(model, v, p):
+    """xi_v(p) = (1 - alpha_v p / L)^N, by Python float arithmetic."""
+    return (1.0 - vertex_alpha_brute(model, v) * p / model.L) ** model.space.num_edges
 
 
 def pair_arrays_sqrt_reference(n, e):

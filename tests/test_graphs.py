@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree, shortest_path
 from brutes import (
     kruskal_reference,
     all_graphs,
+    component_census_brute,
     component_labels_reference,
     components_brute,
     diameter_brute,
@@ -96,8 +98,11 @@ class TestComponents:
     def test_size_and_tree_counts(self):
         g = ThresholdGraph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)])
         s = components(g)
-        assert s.size_counts() == {3: 1, 2: 2}
-        assert s.tree_counts() == {2: 2}  # the triangle is not a tree
+        sizes, trees = component_census_brute(adjacency(g))
+        assert sizes == {3: 1, 2: 2}
+        assert trees == {2: 2}  # the triangle is not a tree
+        assert dict(Counter(s.sizes)) == sizes
+        assert dict(Counter(k for k, tree in zip(s.sizes, s.is_tree) if tree)) == trees
 
     def test_size_ties_keep_first_vertex_order(self):
         triangle, path = [(0, 1), (1, 2), (0, 2)], [(3, 4), (4, 5)]
@@ -349,27 +354,147 @@ class TestDiameterLastLevels:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_property_random_core_with_tails(self, core, tails, density, split, seed):
-        # a random core with paths hung from it: most columns finish early and
-        # the tails' ends finish last; ``split`` detaches the first tail
-        rng = np.random.default_rng(seed)
-        n = min(200, core + sum(tails))
-        adj = np.zeros((n, n), dtype=bool)
-        adj[:core, :core] = np.triu(rng.random((core, core)) < density, 1)
-        for v in range(1, core):
-            adj[rng.integers(v), v] = True
-        v = core
-        for i, length in enumerate(tails):
-            prev = int(rng.integers(core)) if not (split and i == 0) else None
-            for _ in range(length):
-                if v >= n:
-                    break
-                if prev is not None:
-                    adj[prev, v] = True
-                prev = v
-                v += 1
-        adj |= adj.T
-        perm = rng.permutation(n)
-        assert_diameter_matches_references(adj[np.ix_(perm, perm)])
+        # most columns finish early and the tails' ends finish last
+        assert_diameter_matches_references(core_with_tails_adj(core, tails, density, split, seed))
+
+
+def core_with_tails_adj(core, tails, density, split, seed):
+    """A random core (a random tree plus independent edges of ``density``) with
+    paths of the given lengths hung from it, at most 200 vertices, labels
+    shuffled; ``split`` detaches the first path."""
+    rng = np.random.default_rng(seed)
+    n = min(200, core + sum(tails))
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:core, :core] = np.triu(rng.random((core, core)) < density, 1)
+    for v in range(1, core):
+        adj[rng.integers(v), v] = True
+    v = core
+    for i, length in enumerate(tails):
+        prev = int(rng.integers(core)) if not (split and i == 0) else None
+        for _ in range(length):
+            if v >= n:
+                break
+            if prev is not None:
+                adj[prev, v] = True
+            prev = v
+            v += 1
+    adj |= adj.T
+    perm = rng.permutation(n)
+    return adj[np.ix_(perm, perm)]
+
+
+def dense_pair_adj(sizes, density, bridge, seed):
+    """Two random dense components (each a random tree plus independent edges),
+    joined by one edge when ``bridge`` is set, labels interleaved."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    adj = np.zeros((n, n), dtype=bool)
+    at = 0
+    for size in sizes:
+        block = np.triu(rng.random((size, size)) < density, 1)
+        for v in range(1, size):
+            block[rng.integers(v), v] = True
+        adj[at : at + size, at : at + size] = block
+        at += size
+    if bridge:
+        adj[sizes[0] - 1, sizes[0]] = True
+    adj |= adj.T
+    perm = rng.permutation(n)
+    return adj[np.ix_(perm, perm)]
+
+
+def hub_lollipop_adj(clique, tail):
+    """A lollipop plus a last vertex joined to every other.  Its column holds
+    every source after the first level, so the next level's prefix skips it;
+    it comes last in every other list, so it is not in their prefixes."""
+    adj = np.zeros((clique + tail + 1, clique + tail + 1), dtype=bool)
+    adj[:-1, :-1] = lollipop_adj(clique, tail)
+    adj[-1, :-1] = adj[:-1, -1] = True
+    return adj
+
+
+@pytest.fixture
+def list_spans(monkeypatch):
+    """Record the (lo, hi) span of every neighbour-list build in ``graphs.diameter``."""
+    spans = []
+    build = graphs._lists
+
+    def spy(nbrs, starts, deg, cols, lo=0, hi=None):
+        spans.append((lo, hi))
+        return build(nbrs, starts, deg, cols, lo, hi)
+
+    monkeypatch.setattr(graphs, "_lists", spy)
+    return spans
+
+
+def force_prefix(monkeypatch, n, need):
+    """Shorten the prefix: for a graph of n <= 200 vertices (one block of n
+    sources) a level's prefix is then ceil(need / -ln(1 - d)) neighbours,
+    and one neighbour at need=0."""
+    monkeypatch.setattr(graphs, "_PREFIX_MISS", n * math.exp(-need))
+
+
+PREFIX_GRAPHS = {
+    "lollipop-40-60": lambda: lollipop_adj(40, 60),
+    "lollipop-150-50": lambda: lollipop_adj(150, 50),
+    "lollipop-100-99": lambda: lollipop_adj(100, 99),
+    "hub-lollipop": lambda: hub_lollipop_adj(60, 40),
+    "core-with-tails": lambda: core_with_tails_adj(120, [30, 20, 15], 0.5, False, 1),
+    "core-with-detached-tail": lambda: core_with_tails_adj(150, [40, 10], 0.6, True, 2),
+    "two-dense-components": lambda: dense_pair_adj((90, 110), 0.4, False, 3),
+    "two-dense-components-bridged": lambda: dense_pair_adj((60, 140), 0.5, True, 4),
+}
+
+
+class TestDiameterPrefixPull:
+    """Graphs dense enough that a level pulls a prefix of each neighbour list first.
+
+    A larger ``_PREFIX_MISS`` shortens the prefix, so small graphs take that
+    branch with columns still open after it, and the rest of their lists must
+    be pulled."""
+
+    @pytest.mark.parametrize("need", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("family", sorted(PREFIX_GRAPHS))
+    def test_forced_prefix_against_references(self, monkeypatch, list_spans, family, need):
+        adj = PREFIX_GRAPHS[family]()
+        force_prefix(monkeypatch, adj.shape[0], need)
+        assert_diameter_matches_references(adj)
+        assert any(hi is not None for _, hi in list_spans)
+        assert any(lo > 0 for lo, _ in list_spans)  # some columns stayed open after their prefix
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        core=st.integers(2, 200),
+        tails=st.lists(st.integers(1, 40), max_size=3),
+        density=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+        split=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        need=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
+    )
+    def test_property_forced_prefix(self, core, tails, density, split, seed, need):
+        adj = core_with_tails_adj(core, tails, density, split, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            force_prefix(mp, adj.shape[0], need)
+            assert_diameter_matches_references(adj)
+
+    def test_dense_graph_takes_the_prefix(self, list_spans):
+        # at the default miss chance: 300 sources, reach density ~0.5 after
+        # level 1, so the prefix is ~15 neighbours of a mean degree ~150
+        adj = random_graph_adj(300, 5, 300, 0.5, 0, 0)
+        assert_diameter_matches_references(adj)
+        prefixes = [hi for lo, hi in list_spans if lo == 0 and hi is not None]
+        assert prefixes and all(2 * hi <= adj.sum() / 300 for hi in prefixes)
+
+    def test_sparse_graph_gathers_whole_lists(self, list_spans):
+        # mean degree ~4: no prefix is short enough, so every list is whole
+        assert_diameter_matches_references(random_graph_adj(200, 6, 200, 0.01, 0, 0))
+        assert all(hi is None for _, hi in list_spans)
+
+    def test_popcount(self):
+        words = np.random.default_rng(7).integers(0, 2**64, size=(3, 257), dtype=np.uint64)
+        words[0, :3] = [0, 2**64 - 1, 2**63]
+        assert graphs._popcount(words) == sum(bin(w).count("1") for w in words.ravel().tolist())
+        assert graphs._popcount(words[:, ::5]) == sum(bin(w).count("1") for w in words[:, ::5].ravel().tolist())
 
 
 class TestBipartiteMatching:

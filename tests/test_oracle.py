@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from brutes import absent_present_exact
+from brutes import absent_present_exact, xi_vertex_brute
 from simplexgraphs import (
     DecomposableWeights,
     DensityModel,
@@ -44,7 +44,8 @@ class TestProbAllAbsent:
         m = SimplexModel(space, rng.uniform(0.5, 2.0, space.num_edges), float(space.num_edges))
         star = [space.index(2, w) for w in range(6) if w != 2]
         p = 0.4
-        assert prob_all_absent(m, star, p) == pytest.approx(IsolationProfile(m).xi_vertex(2, p))
+        assert prob_all_absent(m, star, p) == pytest.approx(IsolationProfile(m).xi(p)[2])
+        assert prob_all_absent(m, star, p) == pytest.approx(xi_vertex_brute(m, 2, p))
 
     def test_monotone_in_s_exhaustive_n4(self):
         m = SimplexModel.uniform(4)
@@ -197,7 +198,6 @@ class TestBadThreshold:
             lambda: expected_edge_count(m, p),
             lambda: edge_count_variance_bound(m, p),
             lambda: profile.xi(p),
-            lambda: profile.xi_vertex(0, p),
             lambda: profile.total(p),
         ]
         for call in calls:
