@@ -29,34 +29,24 @@ from .errors import CapacityError, ConfigError
 from .model import DecomposableWeights, EdgeSpace, SimplexModel, threshold
 from .samplers import DensityModel, SeededRng, marginal_cdf
 
-KINDS = (
-    "connectivity",
-    "matching",
-    "giant",
-    "diameter",
-    "hamilton",
-    "mst",
-    "atsp",
-    "moments",
-    "marginals",
-)
-
 MODEL_KINDS = ("simplex", "exponential", "ball")
 P_MODES = ("explicit", "clogn", "p0eps", "theta")
 
 _ALPHA_STREAM = 1 << 48  # reserved stream for model-coefficient randomness
 
+# the sweep kinds and the extra CSV columns each writes after ``outcome``
 AUX_COLUMNS = {
     "connectivity": ("kappa", "edges"),
     "matching": ("edges",),
     "giant": ("kappa", "edges"),
     "diameter": ("edges",),
     "hamilton": ("edges",),
-    "moments": (),
-    "marginals": ("value",),
     "mst": (),
     "atsp": ("tour_cost", "assignment_cost", "cycles", "optimal_cost"),
+    "moments": (),
+    "marginals": ("value",),
 }
+KINDS = tuple(AUX_COLUMNS)
 
 _BOOL_KINDS = ("connectivity", "matching", "hamilton", "marginals")
 

@@ -84,22 +84,6 @@ _GATHER_BYTES = 1 << 22
 _PREFIX_MISS = 1e-2
 
 
-def _popcount(words: np.ndarray) -> int:
-    """Set bits in a uint64 array, by SWAR steps (``np.bitwise_count`` needs numpy 2).
-
-    The steps leave each byte holding its own bit count; the multiply by h01
-    sums the eight bytes into the top one.
-    """
-    m1, m2, m4, h01 = (np.uint64(b * 0x0101010101010101) for b in (0x55, 0x33, 0x0F, 0x01))
-    x = words - ((words >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x += x >> np.uint64(4)
-    x &= m4
-    x *= h01
-    x >>= np.uint64(56)
-    return int(x.sum())
-
-
 def _lists(nbrs, starts, deg, cols, lo=0, hi=None):
     """Positions [lo, hi) of each listed column's neighbour list, back to back.
 
@@ -201,7 +185,7 @@ def diameter(g: ThresholdGraph) -> int | float:
                 pulled = _pull(reach, _lists(nbrs, starts, deg, cols))
             else:
                 # set bits: at level 1 the sources and their neighbours
-                bits = s1 - s0 + int(indptr[s1] - indptr[s0]) if dist == 1 else _popcount(reach)
+                bits = s1 - s0 + int(indptr[s1] - indptr[s0]) if dist == 1 else int(np.bitwise_count(reach).sum())
                 k = max(1, math.ceil(need / -math.log1p(-bits / ((s1 - s0) * n))))
                 if k * n <= m:
                     pulled = _pull(reach, prefix(k) if cols.size == n else _lists(nbrs, starts, deg, cols, hi=k))

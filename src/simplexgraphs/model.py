@@ -222,14 +222,9 @@ class SimplexModel:
 
 @dataclass(frozen=True)
 class DecomposableWeights:
-    """Per-vertex factors d_v inducing product coefficients alpha_{vw} = d_v * d_w.
-
-    When ``omega`` is declared the factors are checked against the regime
-    d_v in [1/omega, omega].
-    """
+    """Per-vertex factors d_v inducing product coefficients alpha_{vw} = d_v * d_w."""
 
     d: np.ndarray
-    omega: float | None = None
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
@@ -239,11 +234,6 @@ class DecomposableWeights:
         EdgeSpace(d.size)  # one factor per vertex, n >= 2
         if not np.all(d > 0):
             raise ValueError("vertex factors must be positive")
-        if self.omega is not None:
-            if self.omega < 1:
-                raise ValueError("omega must be >= 1")
-            if d.min() < 1.0 / self.omega - 1e-12 or d.max() > self.omega + 1e-12:
-                raise ValueError("vertex factors leave the declared [1/omega, omega] range")
 
     @property
     def n(self) -> int:
@@ -308,7 +298,7 @@ class ThresholdGraph:
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "ThresholdGraph":
-        """Build directly from an iterable of vertex pairs (tests, CLI); repeated pairs count once."""
+        """Build directly from an iterable of vertex pairs; repeated pairs count once."""
         space = EdgeSpace(n)
         pairs = list(pairs)
         i = np.asarray([p[0] for p in pairs], dtype=np.int64)

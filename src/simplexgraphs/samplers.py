@@ -26,7 +26,9 @@ A large exponential draw may use more than one thread: ``SeededRng(...,
 threads=k)`` splits it into up to k contiguous slices, each at least
 ``_MIN_SLICE`` values, drawn and transformed on their own threads by
 generator copies advanced to the slice.  The numbers and the stream left
-after the draw equal the one-thread draw's, so no output depends on k.  The
+after the draw equal the one-thread draw's, so no output depends on k.  By
+default k is the CPU count, so a draw outside a sweep (the CLI ``sample``
+command, a library call) uses as many threads as a one-worker sweep; the
 sweep harness passes ``cpu_count // workers`` (at least 1).  The threads
 start and end inside the draw.
 """
@@ -34,10 +36,13 @@ start and end inside the draw.
 from __future__ import annotations
 
 import math
+import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; imported here, forked pool workers inherit it
@@ -57,13 +62,14 @@ class SeededRng:
     Both keys are taken mod 2^64.  Identical (seed, stream) pairs reproduce
     identical draw sequences; distinct streams under one seed are
     statistically independent.  ``threads`` caps how many threads one large
-    ``exponential`` draw may use; any value gives the same numbers.
+    ``exponential`` draw may use (default: the CPU count); any value gives
+    the same numbers.
     """
 
-    def __init__(self, seed: int, stream: int = 0, threads: int = 1):
+    def __init__(self, seed: int, stream: int = 0, threads: int | None = None):
         self.seed = int(seed)
         self.stream = int(stream)
-        self.threads = int(threads)
+        self.threads = int(threads) if threads is not None else os.cpu_count() or 1
         key = np.random.SeedSequence([self.seed % 2**64, self.stream % 2**64])
         self._gen = np.random.Generator(np.random.PCG64DXSM(key))
 
@@ -162,20 +168,45 @@ def sample_simplex_batch(model: SimplexModel, rng: SeededRng, count: int) -> np.
 _MAX_RADIUS = sys.float_info.max / 2.0**64
 
 
+class _UnitLaw(NamedTuple):
+    """The law of Y = X_e / scale(e): E(Y), E(Y^2), the density of Y at 0 and the CDF of Y."""
+
+    mean: float
+    second_moment: float
+    density_at_0: float
+    cdf: Callable[[float], float]
+
+
+@lru_cache(maxsize=64)
+def _unit_law(kind: str, N: int) -> _UnitLaw:
+    if kind == "simplex":  # Y ~ Beta(1, N): density N (1 - y)^(N-1)
+        return _UnitLaw(1.0 / (N + 1), 2.0 / ((N + 1) * (N + 2)), float(N), lambda y: 1.0 - pow_one_minus(y, N))
+    if kind == "exponential":  # Y ~ Exp(1)
+        return _UnitLaw(1.0, 2.0, 1.0, lambda y: -math.expm1(-y))
+    # Y is a coordinate of a uniform point in the unit N-ball's orthant:
+    # Y^2 ~ Beta(1/2, (N+1)/2), density 2 (1 - y^2)^((N-1)/2) / B(1/2, (N+1)/2)
+    from scipy.special import betainc, betaln
+
+    b = math.exp(betaln(0.5, (N + 1) / 2.0))
+    return _UnitLaw(
+        2.0 / ((N + 1) * b), 1.0 / (N + 2), 2.0 / b, lambda y: float(betainc(0.5, (N + 1) / 2.0, min(y**2, 1.0)))
+    )
+
+
 @dataclass(frozen=True)
 class DensityModel:
-    """One of the supported weight densities plus its per-axis moment data.
+    """One of the supported weight densities plus its per-axis laws.
 
     Both moment conventions are exposed: ``second_moment`` is E(X_e^2) (the
     scaling quantity), ``std_dev`` the usual standard deviation (the quantity
     the one-dimensional bound checks are stated in).  ``sigma_min``/``sigma_max``
     follow the second-moment convention.
 
-    Every family is a scale family per axis: X_e / scale(e) has a law that
+    Every family is a scale family per axis: Y = X_e / scale(e) has a law that
     depends on N alone, with scale L / alpha_e (simplex), 1 / rate_e
-    (exponential) or the radius (ball).  The moments are formed from that
-    scale and the unit law's moments in Python floats, so each overflows only
-    where its value exceeds the largest double.
+    (exponential) or the radius (ball).  Every per-axis value is that unit
+    law applied to the scale, in Python floats, so each overflows only where
+    its value exceeds the largest double.
     """
 
     kind: str
@@ -230,59 +261,48 @@ class DensityModel:
         np.abs(g, out=g)
         return WeightVector(self.space, np.multiply(g, scale, out=g))
 
-    # --- per-axis moments ----------------------------------------------------
-
-    def _check_coordinate(self, e: int) -> None:
-        if not 0 <= e < self.space.num_edges:
-            raise ValueError(f"edge index {e} out of range for N={self.space.num_edges}")
+    # --- per-axis laws -------------------------------------------------------
 
     def _scale(self, e: int) -> float:
         """The scale of coordinate e: L / alpha_e, 1 / rate_e or the radius."""
-        self._check_coordinate(e)
+        if not 0 <= e < self.space.num_edges:
+            raise ValueError(f"edge index {e} out of range for N={self.space.num_edges}")
         if self.kind == "simplex":
             return self.simplex.L / float(self.simplex.alpha[e])
         if self.kind == "exponential":
             return 1.0 / float(self.rates[e])
         return self.radius
 
-    def _unit_moments(self) -> tuple[float, float]:
-        """E(Y) and E(Y^2) of Y = X_e / scale(e), a law that depends on N alone."""
-        N = self.space.num_edges
-        if self.kind == "simplex":
-            return 1.0 / (N + 1), 2.0 / ((N + 1) * (N + 2))
-        if self.kind == "exponential":
-            return 1.0, 2.0
-        return 2.0 / ((N + 1) * _half_beta(N)), 1.0 / (N + 2)
-
-    def second_moment(self, e: int) -> float:
-        """E(X_e^2), infinite only where it exceeds the largest double.
-
-        Simplex: 2 L^2 / (alpha_e^2 (N+1)(N+2)), the value consistent with the
-        exact marginal law 1 - (1 - alpha_e p / L)^N: the density of X_e is
-        N (alpha_e / L) (1 - alpha_e x / L)^(N-1).
-        """
-        s = self._scale(e)
-        if self.kind == "simplex":  # the rounding of the value ``oracle`` prints
-            N = self.space.num_edges
-            return 2.0 * (s / (N + 1)) * (s / (N + 2))
-        return s * (s * self._unit_moments()[1])
+    def _unit(self) -> _UnitLaw:
+        return _unit_law(self.kind, self.space.num_edges)
 
     def mean(self, e: int) -> float:
-        return self._scale(e) * self._unit_moments()[0]
+        return self._scale(e) * self._unit().mean
+
+    def second_moment(self, e: int) -> float:
+        """E(X_e^2), infinite only where it exceeds the largest double."""
+        s = self._scale(e)
+        return s * (s * self._unit().second_moment)
 
     def std_dev(self, e: int) -> float:
-        m1, m2 = self._unit_moments()
-        return self._scale(e) * math.sqrt(m2 - m1 * m1)
+        law = self._unit()
+        return self._scale(e) * math.sqrt(law.second_moment - law.mean * law.mean)
 
     def mode_value(self, e: int) -> float:
         """Maximum of the 1-D marginal density (attained at 0 for all kinds)."""
-        self._check_coordinate(e)
-        N = self.space.num_edges
-        if self.kind == "simplex":
-            return N * self.simplex.alpha[e] / self.simplex.L
-        if self.kind == "exponential":
-            return float(self.rates[e])
-        return 2.0 / (self.radius * _half_beta(N))
+        return self._unit().density_at_0 / self._scale(e)
+
+    def marginal_cdf(self, e: int, p: float) -> float:
+        """Exact CDF of coordinate e at p: the unit law's CDF at p / scale(e).
+
+        simplex      1 - (1 - alpha_e p / L)^N, 1 once alpha_e p >= L
+        exponential  1 - exp(-lambda_e p)
+        ball         regularized incomplete beta I_{(p/R)^2}(1/2, (N+1)/2)
+        """
+        s = self._scale(e)
+        if not p >= 0:
+            raise ValueError(f"threshold must be non-negative, got {p}")
+        return self._unit().cdf(p / s)
 
     @property
     def sigma_min(self) -> float:
@@ -299,30 +319,5 @@ class DensityModel:
         return [int(np.argmin(values)), int(np.argmax(values))]
 
 
-@lru_cache(maxsize=64)
-def _half_beta(N: int) -> float:
-    """B(1/2, (N+1)/2), the normalizer of the ball's 1-D marginal."""
-    from scipy.special import betaln
-
-    return math.exp(betaln(0.5, (N + 1) / 2.0))
-
-
-def marginal_cdf(model: DensityModel, e: int, p: float) -> float:
-    """Exact CDF of coordinate e at p.
-
-    simplex      1 - (1 - alpha_e p / L)^N, clamped to 1 once alpha_e p >= L
-    exponential  1 - exp(-lambda_e p)
-    ball         regularized incomplete beta I_{(p/R)^2}(1/2, (N+1)/2)
-    """
-    model._check_coordinate(e)
-    if not p >= 0:
-        raise ValueError(f"threshold must be non-negative, got {p}")
-    N = model.space.num_edges
-    if model.kind == "simplex":
-        return 1.0 - pow_one_minus(model.simplex.alpha[e] * p / model.simplex.L, N)
-    if model.kind == "exponential":
-        return -math.expm1(-model.rates[e] * p)
-    from scipy.special import betainc
-
-    x = min((p / model.radius) ** 2, 1.0)
-    return float(betainc(0.5, (N + 1) / 2.0, x))
+# ``marginal_cdf(model, e, p)``, the name the package exports
+marginal_cdf = DensityModel.marginal_cdf

@@ -18,6 +18,7 @@ from collections import Counter
 import numpy as np
 
 from simplexgraphs import EdgeSpace, prob_all_absent
+from simplexgraphs._numeric import pow_one_minus
 
 
 def all_graphs(n):
@@ -300,6 +301,23 @@ def simplex_batch_reference(model, rng, count):
 def product_exponential_reference(rates, space, rng):
     """Independent exponential coordinates, allocating: -log1p(-U) / lambda."""
     return -np.log1p(-rng.uniform(space.num_edges)) / rates
+
+
+def marginal_cdf_reference(model, e, p):
+    """CDF of coordinate e at p by each family's own formula, as written before the shared unit law.
+
+    The simplex formula keeps its ``pow_one_minus`` call, so that at unit
+    alpha and L = N its bits are the ones the frozen ``marginals`` CSV holds.
+    """
+    N = model.space.num_edges
+    if model.kind == "simplex":
+        return 1.0 - pow_one_minus(model.simplex.alpha[e] * p / model.simplex.L, N)
+    if model.kind == "exponential":
+        return -math.expm1(-model.rates[e] * p)
+    from scipy.special import betainc
+
+    x = min((p / model.radius) ** 2, 1.0)
+    return float(betainc(0.5, (N + 1) / 2.0, x))
 
 
 def orthant_ball_reference(radius, space, rng):

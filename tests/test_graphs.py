@@ -490,12 +490,6 @@ class TestDiameterPrefixPull:
         assert_diameter_matches_references(random_graph_adj(200, 6, 200, 0.01, 0, 0))
         assert all(hi is None for _, hi in list_spans)
 
-    def test_popcount(self):
-        words = np.random.default_rng(7).integers(0, 2**64, size=(3, 257), dtype=np.uint64)
-        words[0, :3] = [0, 2**64 - 1, 2**63]
-        assert graphs._popcount(words) == sum(bin(w).count("1") for w in words.ravel().tolist())
-        assert graphs._popcount(words[:, ::5]) == sum(bin(w).count("1") for w in words[:, ::5].ravel().tolist())
-
 
 class TestBipartiteMatching:
     def test_complete_has_matching(self):

@@ -272,11 +272,6 @@ class TestDecomposableWeights:
             for j in range(i + 1, 3):
                 assert m.alpha[space.index(i, j)] == pytest.approx(w.d[i] * w.d[j])
 
-    def test_omega_regime_checked(self):
-        with pytest.raises(ValueError):
-            DecomposableWeights(np.array([0.1, 1.0, 3.0]), omega=2.0)
-        DecomposableWeights(np.array([0.5, 1.0, 2.0]), omega=2.0)
-
     def test_cut_identity_exhaustive(self):
         # sum over cross pairs of d_v d_w equals d_S (D - d_S), for every subset
         rng = np.random.default_rng(11)

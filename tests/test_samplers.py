@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import warnings
@@ -8,7 +9,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2_contingency
 
-from brutes import orthant_ball_reference, product_exponential_reference, simplex_batch_reference
+from brutes import (
+    marginal_cdf_reference,
+    orthant_ball_reference,
+    product_exponential_reference,
+    simplex_batch_reference,
+)
 from simplexgraphs import (
     DecomposableWeights,
     DensityModel,
@@ -251,10 +257,14 @@ class TestSplitDraw:
             (_CUTOFF, 3, 2, True),  # any offset splits
             (_CUTOFF, 4, 2, True),
             (_CUTOFF, 0, 1, False),
+            # threads left out: the CPU count
+            pytest.param(
+                _CUTOFF, 0, None, True, marks=pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU")
+            ),
         ],
     )
     def test_when_a_draw_splits(self, size, prior, threads, split):
-        rng = SeededRng(8, 21, threads=threads)
+        rng = SeededRng(8, 21) if threads is None else SeededRng(8, 21, threads=threads)
         if prior:
             rng.uniform(prior)
         assert (rng._split_exponential(size) is not None) == split
@@ -440,6 +450,65 @@ class TestMomentConventions:
         assert expo.mode_value(0) == pytest.approx(3.0)
         ball = DensityModel.orthant_ball(2.0, EdgeSpace(2))  # N=1: uniform on [0, 2]
         assert ball.mode_value(0) == pytest.approx(0.5)
+
+
+class TestUnitLaw:
+    """Every per-axis value is one unit law applied to p / scale(e)."""
+
+    @staticmethod
+    def _families(n, seed):
+        rng = np.random.default_rng(seed)
+        space = EdgeSpace(n)
+        N = space.num_edges
+        yield DensityModel.from_simplex(SimplexModel(space, rng.uniform(0.3, 5.0, N), L=0.7 * N))
+        yield DensityModel.product_exponential(rng.uniform(0.1, 9.0, N), space)
+        for radius in (0.3, 1.7, 11.0):
+            yield DensityModel.orthant_ball(radius, space)
+
+    @staticmethod
+    def _top(density, e):
+        """scale(e), spelled out per family: L / alpha_e, 1 / rate_e or the radius."""
+        if density.kind == "simplex":
+            return density.simplex.L / density.simplex.alpha[e]
+        return 1.0 / density.rates[e] if density.kind == "exponential" else density.radius
+
+    @pytest.mark.parametrize("n, seed", [(3, 1), (7, 2), (20, 3)])
+    def test_cdf_within_16_ulp_of_each_formula(self, n, seed):
+        for density in self._families(n, seed):
+            for e in (0, 1, density.space.num_edges - 1):
+                for p in np.linspace(0.0, 1.2, 13) * self._top(density, e):
+                    got, want = marginal_cdf(density, e, float(p)), marginal_cdf_reference(density, e, float(p))
+                    assert abs(got - want) <= 16 * math.ulp(want), (density.kind, e, p, got, want)
+
+    def test_cdf_bits_at_unit_alpha_and_budget_n(self):
+        # the frozen ``marginals`` sweep: unit alpha at L = N, where p / (L / 1) is alpha p / L
+        density = DensityModel.from_simplex(SimplexModel.uniform(6))
+        for e in (0, 14):
+            for p in [0.4, 0.8, *np.linspace(0.0, 16.0, 41)]:
+                assert marginal_cdf(density, e, float(p)) == marginal_cdf_reference(density, e, float(p))
+
+    @pytest.mark.parametrize("kind", ["simplex", "exponential", "ball"])
+    def test_moments_and_mode_match_quadrature(self, kind):
+        space = EdgeSpace(6)
+        N, e = space.num_edges, 4
+        if kind == "simplex":  # coordinate 4 has alpha 8/7 and L = 11: scale 77/8
+            density = DensityModel.from_simplex(SimplexModel(space, np.linspace(0.5, 3.0, N), L=11.0))
+            top = 11.0 / density.simplex.alpha[e]
+            pdf = lambda t: N / top * (1.0 - t / top) ** (N - 1)
+        elif kind == "exponential":
+            density = DensityModel.product_exponential(np.linspace(0.7, 2.9, N), space)
+            rate, top = density.rates[e], math.inf
+            pdf = lambda t: rate * math.exp(-rate * t)
+        else:
+            density, top = DensityModel.orthant_ball(1.7, space), 1.7
+            pdf = _ball_marginal_pdf(N, top)
+        m1 = quad(lambda t: t * pdf(t), 0, top)[0]
+        m2 = quad(lambda t: t * t * pdf(t), 0, top)[0]
+        assert density.mean(e) == pytest.approx(m1, rel=1e-10)
+        assert density.second_moment(e) == pytest.approx(m2, rel=1e-10)
+        assert density.std_dev(e) == pytest.approx(math.sqrt(m2 - m1 * m1), rel=1e-9)
+        assert density.mode_value(e) == pytest.approx(pdf(0.0), rel=1e-12)
+        assert max(pdf(t) for t in np.linspace(0.0, min(top, 10.0), 200)) <= density.mode_value(e) * (1 + 1e-12)
 
 
 class TestCoordinateRange:
