@@ -6,9 +6,11 @@ component labels, per-vertex and per-pair loops for coefficient sums, edge
 lookups and isolation probabilities, full enumeration over Prufer sequences
 for spanning trees,
 permutation scans for matchings, assignments and tours, inclusion-exclusion
-over the exact absence formula, and the former Philox generator as the
-reference for the law of the draws.
-These never share code with the implementations they check.
+over the exact absence formula, the former Philox generator as the
+reference for the law of the draws, and each family's own marginal CDF
+formula.
+These never share code with the implementations they check, apart from the
+``pow_one_minus`` helper that the simplex CDF formula keeps.
 """
 
 import itertools

@@ -491,7 +491,7 @@ class TestUnitLaw:
     def test_moments_and_mode_match_quadrature(self, kind):
         space = EdgeSpace(6)
         N, e = space.num_edges, 4
-        if kind == "simplex":  # coordinate 4 has alpha 8/7 and L = 11: scale 77/8
+        if kind == "simplex":  # coordinate 4 has alpha 17/14 and L = 11: scale 154/17
             density = DensityModel.from_simplex(SimplexModel(space, np.linspace(0.5, 3.0, N), L=11.0))
             top = 11.0 / density.simplex.alpha[e]
             pdf = lambda t: N / top * (1.0 - t / top) ** (N - 1)
