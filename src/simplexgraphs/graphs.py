@@ -2,11 +2,12 @@
 
 Connectivity and component structure run on min-label hooking with pointer
 jumping (a few numpy calls per round); diameter runs a bit-parallel BFS from
-all sources at once (one bit per source and vertex, a few numpy calls over the
-adjacency lists per BFS level, each vertex pulling its neighbours' reach and,
-on dense levels, only as much of its list as it takes to hear from every
-source); the perfect-matching check works across the
-fixed vertex split [0, n/2) vs [n/2, n) with scipy's Hopcroft-Karp; the
+all sources at once (one bit per source and vertex; the adjacency lists come
+from one sort of int32 keys, int64 past n = 46,336, and the first level from
+runs of those keys; then a few numpy calls over the lists per BFS level, each
+vertex pulling its neighbours' reach and, on dense levels, only as much of its
+list as it takes to hear from every source); the perfect-matching check works
+across the fixed vertex split [0, n/2) vs [n/2, n) with scipy's Hopcroft-Karp; the
 Hamilton-cycle decision is exact backtracking with pruning, capped at
 ``HAMILTON_MAX_N`` vertices.
 """
@@ -104,6 +105,29 @@ def _pull(reach, lists):
     return np.bitwise_or.reduceat(np.take(reach, got, axis=1), firsts, axis=1)
 
 
+def _level_one(keys, n, nwords):
+    """The first BFS level as (vertex, word) cells, from the sorted adjacency keys.
+
+    Each key is ``end * 64 * nwords + other``, so a run of equal ``key >> 6``
+    is one cell: vertex ``end`` and the word of source ``other``, with bits
+    the OR of ``1 << (key & 63)`` over the run.  Returns each cell's position
+    ``word * n + vertex`` in a word-major table (in the keys' dtype, which
+    holds it) and its bits, ordered by word, and the nwords + 1 cuts where
+    each word's cells start; so the cells of a block of words are one slice,
+    and no table of every word is built.
+    """
+    shifted = keys >> 6
+    runs = np.flatnonzero(np.concatenate(([True], shifted[1:] != shifted[:-1])))
+    vertex, word = np.divmod(shifted[runs], nwords)
+    del shifted  # before the 2m bits below
+    bits = keys.astype(np.uint64)
+    bits &= 63
+    bits = np.bitwise_or.reduceat(np.left_shift(np.uint64(1), bits, out=bits), runs)
+    order = np.argsort(word.astype(np.min_scalar_type(nwords - 1)), kind="stable")
+    word = word[order]
+    return word * n + vertex[order], bits[order], np.searchsorted(word, np.arange(nwords + 1))
+
+
 def diameter(g: ThresholdGraph) -> int | float:
     """Longest shortest path; math.inf when disconnected.
 
@@ -112,7 +136,15 @@ def diameter(g: ThresholdGraph) -> int | float:
     from source 64*w + s of the block.  The words are stored word-major, as W
     rows of n, so each pass below runs along contiguous rows.  The graph is
     held once as a symmetric adjacency grouped by vertex: each edge listed
-    under both ends, grouped by one sort, with ``indptr`` from the degrees.
+    under both ends as the key ``end * S + other``, S = 64 * nwords, and the
+    keys sorted once.  They are int32 while ``n * S < 2**31`` (n up to
+    46,336) and int64 above.  ``indptr`` is where each ``v * S`` falls among
+    the sorted keys, and the neighbour lists are the keys modulo S.  Since S
+    is a multiple of 64, a run of equal ``key >> 6`` is one vertex's
+    neighbours within one source word: the first level's reach is built from
+    these runs as (vertex, word) cells, in O(m) memory, before the keys are
+    widened to the lists (``_level_one``).  A block copies its words' cells
+    into its reach and adds the sources' own bits.
 
     One BFS level ORs each vertex's neighbours' reach words into it: one
     ``take`` over the neighbour lists and one ``bitwise_or.reduceat`` over
@@ -143,21 +175,23 @@ def diameter(g: ThresholdGraph) -> int | float:
     mostly empty.
     """
     n, m = g.n, g.edge_count
-    deg = g.degrees()
+    nwords = -(-n // 64)
+    span = 64 * nwords
+    # each edge under both ends as end * span + other; sorted, the keys group
+    # the neighbour lists by vertex, and key >> 6 names a (vertex, word) cell
+    keys = np.empty(2 * m, dtype=np.int32 if n * span < 2**31 else np.int64)
+    for ends, others, half in ((g.tails, g.heads, slice(0, m)), (g.heads, g.tails, slice(m, None))):
+        np.multiply(ends, span, out=keys[half])
+        np.add(keys[half], others, out=keys[half])
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * span)
+    deg = np.diff(indptr)
     if deg.min() == 0:
         return math.inf
-    # each edge under both ends as end * n + other; sorted, the remainders are
-    # the neighbour lists grouped by vertex
-    nbrs = np.empty(2 * m, dtype=np.int64)
-    for ends, others, out in ((g.tails, g.heads, nbrs[:m]), (g.heads, g.tails, nbrs[m:])):
-        np.multiply(ends, n, out=out)
-        out += others
-    nbrs.sort()
-    np.remainder(nbrs, n, out=nbrs)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
+    cells, cell_bits, cuts = _level_one(keys, n, nwords)
+    nbrs = np.remainder(keys, span, out=keys).astype(np.int64)
+    del keys
     starts = indptr[:-1]
-    nwords = -(-n // 64)
     blocks = -(-nwords // max(1, min(nwords, _GATHER_BYTES // (16 * m))))
     words = -(-nwords // blocks)
     one = np.uint64(1)
@@ -169,12 +203,14 @@ def diameter(g: ThresholdGraph) -> int | float:
 
     for s0 in range(0, n, 64 * words):
         s1 = min(n, s0 + 64 * words)
-        # level 1: each block source reaches itself and its neighbours
-        off = np.arange(s1 - s0)
+        # level 1: each block source reaches its neighbours (the block's
+        # cells) and itself
+        w0 = s0 // 64
         reach = np.zeros((words, n), dtype=np.uint64)
-        reach[off >> 6, off + s0] = one << (off & 63).astype(np.uint64)
-        off = np.repeat(off, deg[s0:s1])
-        np.bitwise_or.at(reach, (off >> 6, nbrs[indptr[s0] : indptr[s1]]), one << (off & 63).astype(np.uint64))
+        at = slice(cuts[w0], cuts[min(nwords, w0 + words)])
+        reach.reshape(-1)[cells[at] - w0 * n] = cell_bits[at]
+        off = np.arange(s1 - s0)
+        reach[off >> 6, off + s0] |= one << (off & 63).astype(np.uint64)
         full = np.bitwise_or.reduce(reach, axis=1, keepdims=True)
         # sources * (1 - d)**k <= _PREFIX_MISS once k * -ln(1 - d) reaches this
         need = math.log((s1 - s0) / _PREFIX_MISS)
@@ -348,9 +384,9 @@ def mst_weight(x: WeightVector) -> tuple[float, list[tuple[int, int]]]:
     output deterministic).  The first batch is every edge lighter than the
     ``_KRUSKAL_BATCH * n``-th smallest weight (one ``partition``), sorted; it
     is exactly the head of the full stable order, which is built only if the
-    tree is still unfinished.  Endpoints come from one vectorised
-    ``pair_arrays`` call per batch (the first on the batch in index order, so
-    its row search runs on sorted keys), and the union-find (path halving,
+    tree is still unfinished.  Endpoints come from one vectorised decode per
+    batch (the first on the batch in index order, decoded by row counts; the
+    rest by ``pair_arrays``' row search), and the union-find (path halving,
     union by size) runs over plain ints.  Returns (total weight, list of n-1
     tree edges), the total summed in the order the edges join the tree.
     """
@@ -387,7 +423,7 @@ def mst_weight(x: WeightVector) -> tuple[float, list[tuple[int, int]]]:
                 return True
         return False
 
-    tails, heads = space.pair_arrays(lighter)
+    tails, heads = space._pair_arrays_increasing(lighter)
     if not scan(tails[order], heads[order], w[head]):
         rest = np.argsort(w, kind="stable")[head.size :]
         scan(*space.pair_arrays(rest), w[rest])

@@ -7,9 +7,12 @@ lexicographic order over vertex pairs.  Undirected pairs (i, j), i < j, map to
 
 where start(k) is the first coordinate of row k; the inverse finds the row by
 a binary search over the n integer row starts, so it is exact with no
-floating point.  Directed ordered pairs i != j map to ``i*(n-1) + (j - [j > i])``:
-the n x n matrix read row-major without its diagonal (``off_diagonal``), inverted
-by one divmod.  Every map vectorizes over numpy arrays.
+floating point.  Strictly increasing coordinates (a threshold graph's edges,
+``all_pairs``) skip the search per coordinate: one search of the row starts
+into them counts each row, and the rows are repeated that many times.
+Directed ordered pairs i != j map to ``i*(n-1) + (j - [j > i])``: the n x n
+matrix read row-major without its diagonal (``off_diagonal``), inverted by
+one divmod.  Every map vectorizes over numpy arrays.
 
 All types here are immutable after construction (arrays are frozen), so they
 can be shared freely across concurrent trial workers.
@@ -103,7 +106,8 @@ class EdgeSpace:
 
     def all_pairs(self):
         """(tails, heads) arrays for every coordinate in canonical order."""
-        return self.pair_arrays(np.arange(self.num_edges))
+        e = np.arange(self.num_edges)
+        return self.pair_arrays(e) if self.directed else self._pair_arrays_increasing(e)
 
     def to_matrix(self, values, diagonal: float) -> np.ndarray:
         """The n x n matrix with ``values[index(i, j)]`` at (i, j) and ``diagonal`` on its diagonal; directed only."""
@@ -113,6 +117,19 @@ class EdgeSpace:
         m = np.full((n, n), diagonal, dtype=float)
         off_diagonal(m)[...] = np.reshape(values, (n - 1, n))
         return m
+
+    def _pair_arrays_increasing(self, e: np.ndarray):
+        """``pair_arrays`` of strictly increasing undirected coordinates, by row counts.
+
+        One search of the n+1 row starts into ``e`` counts the coordinates of
+        each row; the tails and the per-row offsets start(k) - k - 1 are then
+        repeated that many times, with no search per coordinate.
+        """
+        starts = self._row_start(np.arange(self.n + 1, dtype=np.int64))
+        counts = np.diff(np.searchsorted(e, starts))
+        rows = np.arange(self.n, dtype=np.int64)
+        heads = np.repeat(starts[:-1] - rows - 1, counts)
+        return np.repeat(rows, counts), np.subtract(e, heads, out=heads)
 
     def _row_start(self, k):
         """Undirected coordinate of the pair (k, k+1), the first of row k."""
@@ -280,6 +297,9 @@ class ThresholdGraph:
 
     Stores the kept coordinates as strictly increasing edge indices plus
     their decoded endpoint arrays, in canonical edge order with tails < heads.
+    The endpoints are decoded by row counts: one search of the n+1 row
+    starts into the increasing indices gives each row's count, and each
+    row's tail and offset are repeated that many times.
     """
 
     __slots__ = ("n", "edge_indices", "tails", "heads")
@@ -292,7 +312,7 @@ class ThresholdGraph:
             raise ValueError(f"edge indices must be strictly increasing coordinates in [0, {space.num_edges})")
         self.n = n
         self.edge_indices = _frozen(idx)
-        tails, heads = space.pair_arrays(self.edge_indices)
+        tails, heads = space._pair_arrays_increasing(self.edge_indices)
         self.tails = _frozen(tails)
         self.heads = _frozen(heads)
 
@@ -310,11 +330,6 @@ class ThresholdGraph:
     @property
     def edge_count(self) -> int:
         return int(self.edge_indices.size)
-
-    def degrees(self) -> np.ndarray:
-        deg = np.bincount(self.tails, minlength=self.n)
-        deg += np.bincount(self.heads, minlength=self.n)
-        return deg
 
 
 def threshold(x: WeightVector, p: float) -> ThresholdGraph:

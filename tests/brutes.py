@@ -1,7 +1,7 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive: boolean matrix powers for reachability,
-a float-sqrt inverse of the undirected pair index, a Python union-find for
+a float-sqrt inverse of the undirected pair index, degrees as endpoint counts, a Python union-find for
 component labels, per-vertex and per-pair loops for coefficient sums, edge
 lookups and isolation probabilities, full enumeration over Prufer sequences
 for spanning trees,
@@ -93,6 +93,11 @@ def factor_sum_brute(weights, vertices):
 def xi_vertex_brute(model, v, p):
     """xi_v(p) = (1 - alpha_v p / L)^N, by Python float arithmetic."""
     return (1.0 - vertex_alpha_brute(model, v) * p / model.L) ** model.space.num_edges
+
+
+def degrees_brute(g):
+    """Degree of every vertex: how often it is a tail plus how often a head."""
+    return np.bincount(g.tails, minlength=g.n) + np.bincount(g.heads, minlength=g.n)
 
 
 def pair_arrays_sqrt_reference(n, e):

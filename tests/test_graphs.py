@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from brutes import (
     component_census_brute,
     component_labels_reference,
     components_brute,
+    degrees_brute,
     diameter_brute,
     mst_weight_brute,
     perfect_matching_brute,
@@ -341,7 +343,7 @@ class TestDiameterLastLevels:
         # relabel so both components interleave across source words
         perm = np.random.default_rng(n).permutation(n)
         adj = adj[np.ix_(perm, perm)]
-        assert graph_from_adj(adj).degrees().min() > 0
+        assert degrees_brute(graph_from_adj(adj)).min() > 0
         assert diameter(graph_from_adj(adj)) == math.inf
         assert_diameter_matches_references(adj)
 
@@ -489,6 +491,52 @@ class TestDiameterPrefixPull:
         # mean degree ~4: no prefix is short enough, so every list is whole
         assert_diameter_matches_references(random_graph_adj(200, 6, 200, 0.01, 0, 0))
         assert all(hi is None for _, hi in list_spans)
+
+
+def hub_cycle_edges(n):
+    """Vertex 0 joined to 1..n-7, and the 9-cycle 0, n-7, n-6, ..., n-1, 1, 0
+    through it: a path over the top seven vertices closed by the chord
+    (n-1, 1).  A leaf of the hub is 1 + 4 from cycle vertices n-4 and n-3."""
+    return [(0, v) for v in range(1, n - 6)] + path_edges(list(range(n - 7, n)) + [1])
+
+
+class TestDiameterWideKeys:
+    """Graphs large enough that the adjacency keys end * 64 * nwords + other
+    leave int32.  The keys are int32 while n * 64 * nwords < 2**31, which
+    holds up to n = 46,336; a table of every source word would take n**2 / 8
+    bytes, 268 MB at n = 46,341."""
+
+    @staticmethod
+    def diameter_and_peak(g):
+        tracemalloc.start()
+        try:
+            d = diameter(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return d, peak
+
+    @pytest.mark.parametrize("n", [46_336, 46_341])
+    def test_star_at_the_top_vertex(self, n):
+        d, peak = self.diameter_and_peak(ThresholdGraph.from_edges(n, [(v, n - 1) for v in range(n - 1)]))
+        assert d == 2
+        assert peak < 64 << 20
+
+    def test_path_with_chord_through_the_top_vertices(self):
+        for small in (10, 70, 200):  # the same shape against both references
+            adj = np.zeros((small, small), dtype=bool)
+            for a, b in hub_cycle_edges(small):
+                adj[a, b] = adj[b, a] = True
+            assert diameter_brute(adj) == 5
+            assert_diameter_matches_references(adj)
+        n = 46_341
+        g = ThresholdGraph.from_edges(n, hub_cycle_edges(n))
+        d, peak = self.diameter_and_peak(g)
+        assert d == 5
+        assert peak < 64 << 20
+        adj = csr_matrix((np.ones(g.edge_count), (g.tails, g.heads)), shape=(n, n))
+        hops = shortest_path(adj, directed=False, unweighted=True, indices=[2, n - 4, n - 3])
+        assert hops.max() == 5 and np.isfinite(hops).all()
 
 
 class TestBipartiteMatching:

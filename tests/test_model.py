@@ -123,6 +123,25 @@ class TestUndirectedDecode:
             with pytest.raises(ValueError, match="out of range"):
                 space.pair(e)
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 300, 1000])
+    def test_row_count_decode_of_increasing_coordinates(self, n):
+        # the decode of threshold graphs, all_pairs and mst_weight's head batch
+        space = EdgeSpace(n)
+        N = space.num_edges
+        rng = np.random.default_rng(n)
+        rows = [0, n // 2 - 1, n - 2]  # the first row, a middle one and the last, one pair long
+        subsets = [np.arange(0), np.arange(N)]
+        subsets += [np.arange(space.index(k, k + 1), space.index(k, n - 1) + 1) for k in rows]
+        subsets += [np.flatnonzero(rng.random(N) < q) for q in (0.001, 0.1, 0.5, 0.99)]
+        for e in subsets:
+            tails, heads = space._pair_arrays_increasing(e)
+            ref_tails, ref_heads = pair_arrays_sqrt_reference(n, e)
+            assert tails.dtype == heads.dtype == np.int64
+            assert np.array_equal(tails, ref_tails) and np.array_equal(heads, ref_heads)
+            searched = space.pair_arrays(e)
+            assert np.array_equal(tails, searched[0]) and np.array_equal(heads, searched[1])
+        assert all(np.array_equal(a, b) for a, b in zip(space.all_pairs(), space.pair_arrays(np.arange(N))))
+
     @given(st.integers(2, 2 * 10**5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n * (n - 1) // 2 - 1))))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, case):
