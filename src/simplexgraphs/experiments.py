@@ -103,11 +103,11 @@ class ExperimentConfig:
             raise ConfigError("perfect-matching experiments need even n")
         if self.kind == "hamilton" and self.n > graphs.HAMILTON_MAX_N:
             raise CapacityError(f"Hamiltonicity experiments capped at n={graphs.HAMILTON_MAX_N}, got n={self.n}")
+        if self.p_mode not in P_MODES:
+            raise ConfigError(f"unknown p_mode {self.p_mode!r}")
         if self.kind in ("mst", "atsp"):
             if self.model != "simplex":
                 raise ConfigError(f"{self.kind} experiments run on the simplex model")
-        elif self.p_mode not in P_MODES:
-            raise ConfigError(f"unknown p_mode {self.p_mode!r}")
         elif self.p_mode == "explicit":
             if not self.p_values:
                 raise ConfigError("explicit p schedule needs at least one value")
@@ -453,15 +453,18 @@ def _run_trials(ctx: _SweepContext, points) -> tuple[list[TrialRecord], list[dic
 # --- statistics ------------------------------------------------------------------
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+_WILSON_Z = 1.96  # two-sided 95% normal quantile
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval; correct near 0/1 where threshold experiments live."""
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
-    z2 = z * z
+    z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    half = _WILSON_Z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -607,7 +610,7 @@ class LimitLawRow:
     theory: float
 
 
-def connectivity_limit_experiment(n: int, c_values, trials: int, seed: int, workers: int = 1) -> list[LimitLawRow]:
+def connectivity_limit_experiment(n: int, c_values, trials: int, seed: int) -> list[LimitLawRow]:
     """Connectivity frequency at p = (ln n + c)/n vs the double-exponential limit law.
 
     Stated for the all-ones model only; anything else is a config error.
@@ -620,7 +623,6 @@ def connectivity_limit_experiment(n: int, c_values, trials: int, seed: int, work
         alpha="ones",
         p_mode="clogn",
         c_values=tuple(float(c) for c in c_values),
-        workers=workers,
     )
     result = run_sweep(config)
     rows = []

@@ -381,12 +381,12 @@ def mst_weight(x: WeightVector) -> tuple[float, list[tuple[int, int]]]:
 
     Edges are taken in increasing weight order with ties broken by coordinate
     index (ties have measure zero under every sampler, but the rule keeps the
-    output deterministic).  The first batch is every edge lighter than the
-    ``_KRUSKAL_BATCH * n``-th smallest weight (one ``partition``), sorted; it
-    is exactly the head of the full stable order, which is built only if the
-    tree is still unfinished.  Endpoints come from one vectorised decode per
-    batch (the first on the batch in index order, decoded by row counts; the
-    rest by ``pair_arrays``' row search), and the union-find (path halving,
+    output deterministic).  ``cut`` is the ``_KRUSKAL_BATCH * n``-th smallest
+    weight (one ``partition``), or inf when there are fewer edges.  The edges
+    lighter than ``cut`` form the first batch and the rest the second, read
+    only if the tree is still unfinished: each batch is taken in index order,
+    decoded by ``pair_arrays``, and ordered by a stable sort of its weights,
+    so the two run in the full stable order.  The union-find (path halving,
     union by size) runs over plain ints.  Returns (total weight, list of n-1
     tree edges), the total summed in the order the edges join the tree.
     """
@@ -394,10 +394,8 @@ def mst_weight(x: WeightVector) -> tuple[float, list[tuple[int, int]]]:
     if space.directed:
         raise ValueError("spanning trees are defined on undirected weight vectors")
     n, w = space.n, x.x
-    k = min(w.size, _KRUSKAL_BATCH * n)
-    lighter = np.flatnonzero(w < np.partition(w, k)[k]) if k < w.size else np.arange(w.size)
-    order = np.argsort(w[lighter], kind="stable")
-    head = lighter[order]
+    k = _KRUSKAL_BATCH * n
+    cut = np.partition(w, k)[k] if k < w.size else math.inf
     parent = list(range(n))
     size = [1] * n
     tree: list[tuple[int, int]] = []
@@ -423,8 +421,11 @@ def mst_weight(x: WeightVector) -> tuple[float, list[tuple[int, int]]]:
                 return True
         return False
 
-    tails, heads = space._pair_arrays_increasing(lighter)
-    if not scan(tails[order], heads[order], w[head]):
-        rest = np.argsort(w, kind="stable")[head.size :]
-        scan(*space.pair_arrays(rest), w[rest])
+    for take in (np.less, np.greater_equal):
+        e = np.flatnonzero(take(w, cut))
+        weights = w[e]
+        order = np.argsort(weights, kind="stable")
+        tails, heads = space.pair_arrays(e)
+        if scan(tails[order], heads[order], weights[order]):
+            break
     return total, tree

@@ -5,11 +5,10 @@ lexicographic order over vertex pairs.  Undirected pairs (i, j), i < j, map to
 
     index(i, j) = start(i) + (j - i - 1),    start(k) = k*(2n-k-1)/2,
 
-where start(k) is the first coordinate of row k; the inverse finds the row by
-a binary search over the n integer row starts, so it is exact with no
-floating point.  Strictly increasing coordinates (a threshold graph's edges,
-``all_pairs``) skip the search per coordinate: one search of the row starts
-into them counts each row, and the rows are repeated that many times.
+where start(k) is the first coordinate of row k.  The inverse takes
+non-decreasing coordinates: one search of the n+1 integer row starts into them
+counts each row, and the rows are repeated that many times, so it is exact
+with no floating point and no search per coordinate.
 Directed ordered pairs i != j map to ``i*(n-1) + (j - [j > i])``: the n x n
 matrix read row-major without its diagonal (``off_diagonal``), inverted by
 one divmod.  Every map vectorizes over numpy arrays.
@@ -82,8 +81,8 @@ class EdgeSpace:
         """Inverse of :meth:`index`."""
         if not 0 <= e < self.num_edges:
             raise ValueError(f"edge index {e} out of range for N={self.num_edges}")
-        i, j = self.pair_arrays(e)
-        return int(i), int(j)
+        i, j = self.pair_arrays([e])
+        return int(i[0]), int(j[0])
 
     def index_arrays(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         i = np.asarray(i, dtype=np.int64)
@@ -95,19 +94,29 @@ class EdgeSpace:
         return self._row_start(lo) + hi - lo - 1
 
     def pair_arrays(self, e: np.ndarray):
-        """Vectorized inverse map; returns (tails, heads) with tails < heads when undirected."""
+        """Vectorized inverse map; returns (tails, heads) with tails < heads when undirected.
+
+        Directed coordinates, of any shape and order, are inverted by one divmod.
+        Undirected ones must be a non-decreasing 1-D array in [0, N): one search
+        of the n+1 row starts into ``e`` counts the coordinates of each row, and
+        the tails and the per-row offsets start(k) - k - 1 are repeated that many
+        times.  Any other array is a ValueError, never a wrong pair.
+        """
         e = np.asarray(e, dtype=np.int64)
         if self.directed:
             i, r = np.divmod(e, self.n - 1)
             return i, np.where(r >= i, r + 1, r)
-        starts = self._row_start(np.arange(self.n, dtype=np.int64))
-        i = np.searchsorted(starts, e, side="right") - 1
-        return i, e - starts[i] + i + 1
+        if e.ndim != 1 or (e.size and (e[0] < 0 or e[-1] >= self.num_edges)) or np.any(e[1:] < e[:-1]):
+            raise ValueError(f"undirected coordinates must be a non-decreasing 1-D array in [0, {self.num_edges})")
+        starts = self._row_start(np.arange(self.n + 1, dtype=np.int64))
+        counts = np.diff(np.searchsorted(e, starts))
+        rows = np.arange(self.n, dtype=np.int64)
+        heads = np.repeat(starts[:-1] - rows - 1, counts)
+        return np.repeat(rows, counts), np.subtract(e, heads, out=heads)
 
     def all_pairs(self):
         """(tails, heads) arrays for every coordinate in canonical order."""
-        e = np.arange(self.num_edges)
-        return self.pair_arrays(e) if self.directed else self._pair_arrays_increasing(e)
+        return self.pair_arrays(np.arange(self.num_edges))
 
     def to_matrix(self, values, diagonal: float) -> np.ndarray:
         """The n x n matrix with ``values[index(i, j)]`` at (i, j) and ``diagonal`` on its diagonal; directed only."""
@@ -117,19 +126,6 @@ class EdgeSpace:
         m = np.full((n, n), diagonal, dtype=float)
         off_diagonal(m)[...] = np.reshape(values, (n - 1, n))
         return m
-
-    def _pair_arrays_increasing(self, e: np.ndarray):
-        """``pair_arrays`` of strictly increasing undirected coordinates, by row counts.
-
-        One search of the n+1 row starts into ``e`` counts the coordinates of
-        each row; the tails and the per-row offsets start(k) - k - 1 are then
-        repeated that many times, with no search per coordinate.
-        """
-        starts = self._row_start(np.arange(self.n + 1, dtype=np.int64))
-        counts = np.diff(np.searchsorted(e, starts))
-        rows = np.arange(self.n, dtype=np.int64)
-        heads = np.repeat(starts[:-1] - rows - 1, counts)
-        return np.repeat(rows, counts), np.subtract(e, heads, out=heads)
 
     def _row_start(self, k):
         """Undirected coordinate of the pair (k, k+1), the first of row k."""
@@ -296,10 +292,8 @@ class ThresholdGraph:
     """Graph on [n] keeping exactly the coordinates with weight <= p.
 
     Stores the kept coordinates as strictly increasing edge indices plus
-    their decoded endpoint arrays, in canonical edge order with tails < heads.
-    The endpoints are decoded by row counts: one search of the n+1 row
-    starts into the increasing indices gives each row's count, and each
-    row's tail and offset are repeated that many times.
+    their endpoint arrays, decoded by ``EdgeSpace.pair_arrays``, in canonical
+    edge order with tails < heads.
     """
 
     __slots__ = ("n", "edge_indices", "tails", "heads")
@@ -312,7 +306,7 @@ class ThresholdGraph:
             raise ValueError(f"edge indices must be strictly increasing coordinates in [0, {space.num_edges})")
         self.n = n
         self.edge_indices = _frozen(idx)
-        tails, heads = space._pair_arrays_increasing(self.edge_indices)
+        tails, heads = space.pair_arrays(self.edge_indices)
         self.tails = _frozen(tails)
         self.heads = _frozen(heads)
 

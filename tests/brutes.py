@@ -5,7 +5,7 @@ a float-sqrt inverse of the undirected pair index, degrees as endpoint counts, a
 component labels, per-vertex and per-pair loops for coefficient sums, edge
 lookups and isolation probabilities, full enumeration over Prufer sequences
 for spanning trees,
-permutation scans for matchings, assignments and tours, inclusion-exclusion
+permutation scans for matchings, Hamilton cycles, assignments and tours, inclusion-exclusion
 over the exact absence formula, the former Philox generator as the
 reference for the law of the draws, and each family's own marginal CDF
 formula.
@@ -238,6 +238,14 @@ def perfect_matching_brute(adj):
     half = adj.shape[0] // 2
     return any(
         all(adj[i, half + perm[i]] for i in range(half)) for perm in itertools.permutations(range(half))
+    )
+
+
+def hamiltonian_brute(adj):
+    """Does some cyclic order of all the vertices, vertex 0 first, use only edges of adj?"""
+    n = adj.shape[0]
+    return n >= 3 and any(
+        all(adj[a, b] for a, b in zip((0,) + perm, perm + (0,))) for perm in itertools.permutations(range(1, n))
     )
 
 

@@ -57,6 +57,7 @@ def test_bad_input_exit_2(capsys, argv):
      "kind=connectivity\np=0.3\nalpha=dvalues:nanx6", "kind=connectivity\np=0.3\nalpha=dvalues:1e-300x6",
      "kind=connectivity\np=0.3\nalpha=dvalues:1x10000000000",
      "kind=mst\nalpha=dvalues:1e200x6", "kind=mst\nL=-1", "kind=atsp\nL=inf", "kind=atsp\nL=1.5e308",
+     "kind=mst\np_mode=warp", "kind=atsp\np_mode=warp",
      "kind=", "kind=mst\nn=", "kind=mst\ntrials=", "kind=mst\nseed="],
 )
 def test_bad_sweep_config_exit_2(tmp_path, capsys, setting):

@@ -28,7 +28,7 @@ from simplexgraphs import (
     threshold_transition_experiment,
     wilson_interval,
 )
-from simplexgraphs.experiments import _CONFIG_KEYS, _build_context, _run_trial, _summarize, resolve_dvalues
+from simplexgraphs.experiments import KINDS, _CONFIG_KEYS, _build_context, _run_trial, _summarize, resolve_dvalues
 
 BASIC = """
 kind=marginals
@@ -104,6 +104,12 @@ class TestConfigParsing:
     def test_non_finite_threshold_rejected(self, schedule):
         with pytest.raises(ConfigError, match="finite"):
             parse_config(f"kind=connectivity\nn=6\n{schedule}\ntrials=1\nseed=0\n")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unknown_p_mode_for_every_kind(self, kind):
+        # mst and atsp run at p = inf and read no schedule, but a misspelt mode is still an error
+        with pytest.raises(ConfigError, match="unknown p_mode 'warp'"):
+            parse_config(f"kind={kind}\nn=10\np=0.3\ntrials=1\nseed=0\np_mode=warp\n")
 
     def test_matching_needs_even_n(self):
         with pytest.raises(ConfigError):

@@ -17,6 +17,7 @@ from brutes import (
     components_brute,
     degrees_brute,
     diameter_brute,
+    hamiltonian_brute,
     mst_weight_brute,
     perfect_matching_brute,
     prim_weight,
@@ -628,6 +629,21 @@ class TestHamiltonian:
 
     def test_small_n(self):
         assert not is_hamiltonian(complete_graph(2))
+
+    def test_exhaustive_up_to_n5_against_permutations(self):
+        # the non-Hamiltonian graphs here with a Hamilton path from vertex 0
+        # include K_{2,3} with 0 on the side of three
+        for n in range(3, 6):
+            for bits, adj in all_graphs(n):
+                assert is_hamiltonian(graph_from_adj(adj)) == hamiltonian_brute(adj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(3, 8), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_property_against_brute_force(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        adj = np.triu(rng.random((n, n)) < density, 1)
+        adj |= adj.T
+        assert is_hamiltonian(graph_from_adj(adj)) == hamiltonian_brute(adj)
 
 
 def mst_instance(n, seed, kind):

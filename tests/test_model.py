@@ -87,10 +87,10 @@ class TestEdgeIndex:
 
 
 class TestUndirectedDecode:
-    """pair_arrays finds each coordinate's row among the integer row starts.
+    """pair_arrays counts each row's coordinates among the integer row starts.
 
-    It must equal the float-sqrt inverse it replaced and round-trip through
-    index_arrays, with integer endpoints 0 <= tail < head < n.
+    On non-decreasing coordinates it must equal the float-sqrt inverse and
+    round-trip through index_arrays, with integer endpoints 0 <= tail < head < n.
     """
 
     @staticmethod
@@ -113,7 +113,7 @@ class TestUndirectedDecode:
         N = n * (n - 1) // 2
         assert last[-1] == N - 1
         inside = np.random.default_rng(n).integers(0, N, 10_000)
-        self.assert_decodes(n, np.concatenate((first, last, inside)))
+        self.assert_decodes(n, np.sort(np.concatenate((first, last, inside))))
         space = EdgeSpace(n)
         tails, heads = space.pair_arrays(first)
         assert np.array_equal(tails, np.arange(n - 1)) and np.array_equal(heads, tails + 1)
@@ -125,22 +125,25 @@ class TestUndirectedDecode:
 
     @pytest.mark.parametrize("n", [2, 3, 64, 65, 300, 1000])
     def test_row_count_decode_of_increasing_coordinates(self, n):
-        # the decode of threshold graphs, all_pairs and mst_weight's head batch
         space = EdgeSpace(n)
         N = space.num_edges
         rng = np.random.default_rng(n)
         rows = [0, n // 2 - 1, n - 2]  # the first row, a middle one and the last, one pair long
-        subsets = [np.arange(0), np.arange(N)]
+        subsets = [np.arange(0), np.arange(N), np.repeat(np.arange(N), 2), np.sort(rng.integers(0, N, 3 * n))]
         subsets += [np.arange(space.index(k, k + 1), space.index(k, n - 1) + 1) for k in rows]
         subsets += [np.flatnonzero(rng.random(N) < q) for q in (0.001, 0.1, 0.5, 0.99)]
         for e in subsets:
-            tails, heads = space._pair_arrays_increasing(e)
+            tails, heads = space.pair_arrays(e)
             ref_tails, ref_heads = pair_arrays_sqrt_reference(n, e)
             assert tails.dtype == heads.dtype == np.int64
             assert np.array_equal(tails, ref_tails) and np.array_equal(heads, ref_heads)
-            searched = space.pair_arrays(e)
-            assert np.array_equal(tails, searched[0]) and np.array_equal(heads, searched[1])
-        assert all(np.array_equal(a, b) for a, b in zip(space.all_pairs(), space.pair_arrays(np.arange(N))))
+        assert all(np.array_equal(a, b) for a, b in zip(space.all_pairs(), pair_arrays_sqrt_reference(n, np.arange(N))))
+
+    @pytest.mark.parametrize("e", [[1, 0], [0, 2, 1, 3], [3, 3, 2], [-1, 0], [0, 6], [[0, 1]], 0])
+    def test_refuses_what_it_cannot_decode(self, e):
+        # decreasing, out of range or not 1-D: an error, never a wrong pair
+        with pytest.raises(ValueError, match="non-decreasing 1-D array in \\[0, 6\\)"):
+            EdgeSpace(4).pair_arrays(e)
 
     @given(st.integers(2, 2 * 10**5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n * (n - 1) // 2 - 1))))
     @settings(max_examples=300, deadline=None)
