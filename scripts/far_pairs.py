@@ -33,7 +33,7 @@ from scipy.sparse.csgraph import shortest_path
 from scipy.special import gammaln, logsumexp
 from scipy.stats import binom
 
-from simplexgraphs import ExperimentConfig, SeededRng, SimplexModel, run_sweep, sample_simplex, threshold
+from simplexgraphs import ExperimentConfig, SeededRng, SimplexModel, edge_prob_q, run_sweep, sample_simplex, threshold
 from simplexgraphs.experiments import trial_stream
 
 
@@ -75,12 +75,12 @@ def main() -> None:
     cfg = ExperimentConfig(
         kind="diameter", n=args.n, trials=args.trials, seed=args.seed, p_mode="theta", theta=args.theta
     )
-    records = run_sweep(cfg).records
+    sweep = run_sweep(cfg)
     model = SimplexModel.uniform(args.n)
-    p = args.n ** (args.theta - 1.0)
-    q = -math.expm1(args.n * (args.n - 1) // 2 * math.log1p(-p / model.L))  # 1 - (1 - p/L)^N
+    p = sweep.schedule[0]
+    q = edge_prob_q(model, p)
     far = []
-    for t, record in enumerate(records):
+    for t, record in enumerate(sweep.records):
         g = threshold(sample_simplex(model, SeededRng(args.seed, trial_stream(0, t))), p)
         counts = distance_counts(g)
         diam = int(np.flatnonzero(counts)[-1]) + 1

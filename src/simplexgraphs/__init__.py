@@ -25,12 +25,10 @@ from .experiments import (
     SweepResult,
     TrialRecord,
     atsp_experiment,
-    connectivity_limit_experiment,
     load_config,
     mst_experiment,
     parse_config,
     run_sweep,
-    threshold_transition_experiment,
     wilson_interval,
 )
 from .graphs import (
@@ -98,7 +96,6 @@ __all__ = [
     "bipartite_perfect_matching",
     "check_basic_bounds",
     "components",
-    "connectivity_limit_experiment",
     "diameter",
     "edge_count_variance_bound",
     "edge_prob_q",
@@ -124,7 +121,6 @@ __all__ = [
     "sigma_simplex",
     "solve_p0",
     "threshold",
-    "threshold_transition_experiment",
     "tour_cost",
     "wilson_interval",
 ]

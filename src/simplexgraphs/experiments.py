@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -332,13 +331,8 @@ def _schedule(config: ExperimentConfig, simplex: SimplexModel | None) -> tuple[f
     return schedule
 
 
-def _context(config: ExperimentConfig, model: DensityModel) -> _SweepContext:
-    """The context of a sweep of ``config`` over ``model``, its thresholds included."""
-    return _SweepContext(config, _schedule(config, model.simplex), model)
-
-
 def _build_context(config: ExperimentConfig) -> _SweepContext:
-    """The context of a config's sweep.
+    """The context of a config's sweep, its thresholds included.
 
     atsp draws from its directed row-symmetric model, every other kind from ``build_model``.
     """
@@ -348,7 +342,7 @@ def _build_context(config: ExperimentConfig) -> _SweepContext:
             model = DensityModel.from_simplex(row_symmetric_model(beta, config.n, config.L))
     else:
         model = build_model(config.n, config.model, config.alpha, config.L, config.rate, config.radius, config.seed)
-    return _context(config, model)
+    return _SweepContext(config, _schedule(config, model.simplex), model)
 
 
 # --- trial execution -------------------------------------------------------------
@@ -601,85 +595,6 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
 
 @dataclass(frozen=True)
-class LimitLawRow:
-    c: float
-    p: float
-    frequency: float
-    wilson_lo: float
-    wilson_hi: float
-    theory: float
-
-
-def connectivity_limit_experiment(n: int, c_values, trials: int, seed: int) -> list[LimitLawRow]:
-    """Connectivity frequency at p = (ln n + c)/n vs the double-exponential limit law.
-
-    Stated for the all-ones model only; anything else is a config error.
-    """
-    config = ExperimentConfig(
-        kind="connectivity",
-        n=n,
-        trials=trials,
-        seed=seed,
-        alpha="ones",
-        p_mode="clogn",
-        c_values=tuple(float(c) for c in c_values),
-    )
-    result = run_sweep(config)
-    rows = []
-    for c, s in zip(config.c_values, result.summaries):
-        rows.append(
-            LimitLawRow(
-                c=c,
-                p=s["p"],
-                frequency=s["freq"],
-                wilson_lo=s["wilson_lo"],
-                wilson_hi=s["wilson_hi"],
-                theory=s["oracle"],
-            )
-        )
-    return rows
-
-
-@dataclass(frozen=True)
-class TransitionResult:
-    p0: float
-    eps: float
-    freq_below: float
-    below_interval: tuple[float, float]
-    freq_above: float
-    above_interval: tuple[float, float]
-    trials: int
-    bound_M: float
-
-
-def threshold_transition_experiment(model: SimplexModel, eps: float, trials: int, seed: int) -> TransitionResult:
-    """Connectivity frequencies just below and just above the isolation threshold p0.
-
-    The same trials as a connectivity sweep with ``p_mode=p0eps`` over ``model``.
-    """
-    config = ExperimentConfig(kind="connectivity", n=model.space.n, trials=trials, seed=seed, p_mode="p0eps", eps=eps)
-    n = model.space.n
-    if model.M > math.log(n) ** 0.25:
-        warnings.warn(
-            f"M={model.M:.3g} exceeds (ln n)^(1/4)={math.log(n) ** 0.25:.3g}; "
-            "the sharp-threshold hypothesis is violated",
-            stacklevel=2,
-        )
-    ctx = _context(config, DensityModel.from_simplex(model))
-    _, (below, above) = _run_trials(ctx, enumerate(ctx.schedule))
-    return TransitionResult(
-        oracle.solve_p0(model),
-        eps,
-        below["freq"],
-        (below["wilson_lo"], below["wilson_hi"]),
-        above["freq"],
-        (above["wilson_lo"], above["wilson_hi"]),
-        trials,
-        model.M,
-    )
-
-
-@dataclass(frozen=True)
 class MstExperimentResult:
     mc_mean: float
     mc_se: float
@@ -689,11 +604,13 @@ class MstExperimentResult:
     series_mode: str
 
 
-def mst_experiment(weights: DecomposableWeights, n: int, trials: int, seed: int) -> MstExperimentResult:
-    """Monte Carlo mean spanning-tree weight vs the closed-form series (the trials of an mst sweep)."""
-    config = ExperimentConfig(kind="mst", n=n, trials=trials, seed=seed)
-    if weights.n != n:
-        raise ConfigError(f"weights describe {weights.n} vertices, config says n={n}")
+def mst_experiment(d: str, n: int, trials: int, seed: int) -> MstExperimentResult:
+    """Monte Carlo mean spanning-tree weight vs the closed-form series (the trials of an mst sweep).
+
+    ``d`` is the per-vertex factor spec, ``ones`` or ``dvalues:<v>x<count>,...``.
+    """
+    weights = DecomposableWeights(resolve_dvalues(d, n))
+    config = ExperimentConfig(kind="mst", n=n, trials=trials, seed=seed, alpha=d)
     if n <= oracle.SERIES_EXACT_MAX_N:
         mode = "exact"
     elif len(weights.distinct()[0]) <= oracle.SERIES_GROUPED_MAX_VALUES:
@@ -703,8 +620,7 @@ def mst_experiment(weights: DecomposableWeights, n: int, trials: int, seed: int)
             f"no series mode available: n > {oracle.SERIES_EXACT_MAX_N}"
             f" with more than {oracle.SERIES_GROUPED_MAX_VALUES} distinct factors"
         )
-    with _config_errors():
-        ctx = _context(config, DensityModel.from_simplex(weights.to_simplex_model()))
+    ctx = _build_context(config)
     series = oracle.mst_series(weights, mode=mode)
     _, (s,) = _run_trials(ctx, enumerate(ctx.schedule))
     return MstExperimentResult(s["mean"], s["se"], series, abs(s["mean"] - series) / series, trials, mode)

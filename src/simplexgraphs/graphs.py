@@ -340,7 +340,10 @@ def is_hamiltonian(g: ThresholdGraph) -> bool:
 
     def extend(cur: int, visited: int) -> bool:
         if visited == full:
-            return bool(adj_mask[cur] & start_bit)
+            # the closing edge exists: one call up, ``cur`` was the last remaining
+            # vertex, and the ``adj_mask[0] & remaining`` prune kept it adjacent to 0
+            # (so did the two-usable-edges prune, whose only candidates were the head and 0)
+            return True
         remaining = full & ~visited
         cand = adj_mask[cur] & remaining
         if not cand:

@@ -6,7 +6,7 @@ lexicographic order over vertex pairs.  Undirected pairs (i, j), i < j, map to
     index(i, j) = start(i) + (j - i - 1),    start(k) = k*(2n-k-1)/2,
 
 where start(k) is the first coordinate of row k.  The inverse takes
-non-decreasing coordinates: one search of the n+1 integer row starts into them
+strictly increasing coordinates: one search of the n+1 integer row starts into them
 counts each row, and the rows are repeated that many times, so it is exact
 with no floating point and no search per coordinate.
 Directed ordered pairs i != j map to ``i*(n-1) + (j - [j > i])``: the n x n
@@ -97,7 +97,7 @@ class EdgeSpace:
         """Vectorized inverse map; returns (tails, heads) with tails < heads when undirected.
 
         Directed coordinates, of any shape and order, are inverted by one divmod.
-        Undirected ones must be a non-decreasing 1-D array in [0, N): one search
+        Undirected ones must be a strictly increasing 1-D array in [0, N): one search
         of the n+1 row starts into ``e`` counts the coordinates of each row, and
         the tails and the per-row offsets start(k) - k - 1 are repeated that many
         times.  Any other array is a ValueError, never a wrong pair.
@@ -106,8 +106,8 @@ class EdgeSpace:
         if self.directed:
             i, r = np.divmod(e, self.n - 1)
             return i, np.where(r >= i, r + 1, r)
-        if e.ndim != 1 or (e.size and (e[0] < 0 or e[-1] >= self.num_edges)) or np.any(e[1:] < e[:-1]):
-            raise ValueError(f"undirected coordinates must be a non-decreasing 1-D array in [0, {self.num_edges})")
+        if e.ndim != 1 or (e.size and (e[0] < 0 or e[-1] >= self.num_edges)) or np.any(e[1:] <= e[:-1]):
+            raise ValueError(f"undirected coordinates must be a strictly increasing 1-D array in [0, {self.num_edges})")
         starts = self._row_start(np.arange(self.n + 1, dtype=np.int64))
         counts = np.diff(np.searchsorted(e, starts))
         rows = np.arange(self.n, dtype=np.int64)
@@ -293,20 +293,16 @@ class ThresholdGraph:
 
     Stores the kept coordinates as strictly increasing edge indices plus
     their endpoint arrays, decoded by ``EdgeSpace.pair_arrays``, in canonical
-    edge order with tails < heads.
+    edge order with tails < heads.  The decode checks the indices: anything
+    but strictly increasing coordinates in [0, N) is a ValueError.
     """
 
     __slots__ = ("n", "edge_indices", "tails", "heads")
 
     def __init__(self, n: int, edge_indices: np.ndarray):
-        space = EdgeSpace(n)
-        idx = np.asarray(edge_indices, dtype=np.int64)
-        increasing = idx.ndim == 1 and not np.any(idx[1:] <= idx[:-1])
-        if not increasing or (idx.size and (idx[0] < 0 or idx[-1] >= space.num_edges)):
-            raise ValueError(f"edge indices must be strictly increasing coordinates in [0, {space.num_edges})")
         self.n = n
-        self.edge_indices = _frozen(idx)
-        tails, heads = space.pair_arrays(self.edge_indices)
+        self.edge_indices = _frozen(np.asarray(edge_indices, dtype=np.int64))
+        tails, heads = EdgeSpace(n).pair_arrays(self.edge_indices)
         self.tails = _frozen(tails)
         self.heads = _frozen(heads)
 

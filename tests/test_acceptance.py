@@ -31,7 +31,6 @@ from simplexgraphs import (
     atsp_experiment,
     check_basic_bounds,
     components,
-    connectivity_limit_experiment,
     diameter,
     edge_count_variance_bound,
     expected_edge_count,
@@ -45,7 +44,6 @@ from simplexgraphs import (
     run_sweep,
     sample_simplex_batch,
     solve_p0,
-    threshold_transition_experiment,
 )
 
 
@@ -112,15 +110,17 @@ def test_c03_edge_count_moments():
 def test_c04_connectivity_limit_law():
     # alpha=1, n=1000, T=1000 per c in {-2, 0, 2}: frequency within 0.06 of
     # exp(-exp(-c)) = 0.00062, 0.36788, 0.87342
-    rows = connectivity_limit_experiment(1000, (-2.0, 0.0, 2.0), trials=1000, seed=104)
+    cfg = ExperimentConfig(
+        kind="connectivity", n=1000, trials=1000, seed=104, p_mode="clogn", c_values=(-2.0, 0.0, 2.0)
+    )
     theory = {-2.0: 0.00062, 0.0: 0.36788, 2.0: 0.87342}
     detail = []
     ok = True
-    for row in rows:
-        assert row.theory == pytest.approx(theory[row.c], abs=1e-5)
-        gap = abs(row.frequency - row.theory)
+    for c, s in zip(cfg.c_values, run_sweep(cfg).summaries):
+        assert s["oracle"] == pytest.approx(theory[c], abs=1e-5)
+        gap = abs(s["freq"] - s["oracle"])
         ok &= gap <= 0.06
-        detail.append(f"c={row.c:+.0f}: freq={row.frequency:.4f} theory={row.theory:.5f}")
+        detail.append(f"c={c:+.0f}: freq={s['freq']:.4f} theory={s['oracle']:.5f}")
     report("C04 connectivity limit law", ok, "; ".join(detail))
     assert ok
 
@@ -145,8 +145,9 @@ def test_c05_p0_solver_and_transition():
     scaling_gap = abs(solve_p0(scaled) - solve_p0(base) / 3.0)
     scaling_ok = scaling_gap <= 1e-9
 
-    res = threshold_transition_experiment(SimplexModel.uniform(1000), 0.3, trials=500, seed=106)
-    separation = res.freq_above - res.freq_below
+    cfg = ExperimentConfig(kind="connectivity", n=1000, trials=500, seed=106, p_mode="p0eps", eps=0.3)
+    below, above = run_sweep(cfg).summaries
+    separation = above["freq"] - below["freq"]
     transition_ok = separation >= 0.5
 
     ok = residual_ok and scaling_ok and transition_ok
@@ -154,7 +155,7 @@ def test_c05_p0_solver_and_transition():
         "C05 p0 solver and transition",
         ok,
         f"worst residual={worst:.2e}; scaling gap={scaling_gap:.2e}; "
-        f"freq {res.freq_below:.3f} -> {res.freq_above:.3f} (sep {separation:.3f})",
+        f"freq {below['freq']:.3f} -> {above['freq']:.3f} (sep {separation:.3f})",
     )
     assert ok
 
@@ -219,7 +220,7 @@ def test_c07_diameter_regimes():
 def test_c08_mst_series_and_monte_carlo():
     # d=1, n=200, T=500: |MC - series| / series <= 0.05; series within 0.02 of
     # the zeta(3) partial sum; grouped == exact to 1e-10 at n=16
-    res = mst_experiment(DecomposableWeights(np.ones(200)), 200, trials=500, seed=108)
+    res = mst_experiment("ones", 200, trials=500, seed=108)
     gap_ok = res.relative_gap <= 0.05
     zeta3 = float(sum(1.0 / k**3 for k in range(1, 100_001)))
     series_ok = abs(res.series_value - zeta3) <= 0.02

@@ -16,16 +16,12 @@ from brutes import expected_mst_weight_exact
 from simplexgraphs import (
     CapacityError,
     ConfigError,
-    DecomposableWeights,
-    EdgeSpace,
     ExperimentConfig,
     SimplexModel,
     atsp_experiment,
-    connectivity_limit_experiment,
     mst_experiment,
     parse_config,
     run_sweep,
-    threshold_transition_experiment,
     wilson_interval,
 )
 from simplexgraphs.experiments import KINDS, _CONFIG_KEYS, _build_context, _run_trial, _summarize, resolve_dvalues
@@ -374,12 +370,15 @@ class TestWilson:
 
 
 class TestConnectivityLimit:
+    CLOGN = ExperimentConfig(kind="connectivity", n=50, trials=2, seed=1, p_mode="clogn", c_values=(0.0,))
+
     def test_theory_column(self):
-        rows = connectivity_limit_experiment(50, (-2.0, 0.0, 2.0, 4.0), trials=5, seed=1)
-        assert rows[0].theory == pytest.approx(math.exp(-math.exp(2.0)), abs=1e-5)
-        assert rows[0].theory == pytest.approx(0.00062, abs=1e-5)
-        assert rows[1].theory == pytest.approx(0.36788, abs=1e-5)
-        assert rows[3].theory == pytest.approx(0.98185, abs=1e-5)
+        cfg = replace(self.CLOGN, c_values=(-2.0, 0.0, 2.0, 4.0), trials=5)
+        oracles = [s["oracle"] for s in run_sweep(cfg).summaries]
+        assert oracles[0] == pytest.approx(math.exp(-math.exp(2.0)), abs=1e-5)
+        assert oracles[0] == pytest.approx(0.00062, abs=1e-5)
+        assert oracles[1] == pytest.approx(0.36788, abs=1e-5)
+        assert oracles[3] == pytest.approx(0.98185, abs=1e-5)
 
     @pytest.mark.parametrize("L, stated", [(None, True), (19900.0, True), (79600.0, False), (4975.0, False)])
     def test_oracle_only_at_budget_N(self, L, stated):
@@ -392,47 +391,43 @@ class TestConnectivityLimit:
             assert all(math.isnan(v) for v in oracles)
 
     def test_p_schedule(self):
-        rows = connectivity_limit_experiment(50, (1.0,), trials=2, seed=1)
-        assert rows[0].p == pytest.approx((math.log(50) + 1.0) / 50)
+        (s,) = run_sweep(replace(self.CLOGN, c_values=(1.0,))).summaries
+        assert s["p"] == pytest.approx((math.log(50) + 1.0) / 50)
 
 
 class TestTransition:
+    """A connectivity sweep with ``p_mode=p0eps`` runs at (1 -+ eps) p0."""
+
+    @staticmethod
+    def config(n, eps, trials, seed):
+        return ExperimentConfig(kind="connectivity", n=n, trials=trials, seed=seed, p_mode="p0eps", eps=eps)
+
     def test_eps_zero_rejected(self):
         with pytest.raises(ConfigError):
-            threshold_transition_experiment(SimplexModel.uniform(30), 0.0, 5, seed=1)
+            self.config(30, 0.0, 5, seed=1)
 
     def test_separation_small_model(self):
-        res = threshold_transition_experiment(SimplexModel.uniform(120), 0.5, trials=60, seed=2)
-        assert res.freq_above > res.freq_below
-        assert res.below_interval[0] <= res.freq_below <= res.below_interval[1]
+        below, above = run_sweep(self.config(120, 0.5, trials=60, seed=2)).summaries
+        assert above["freq"] > below["freq"]
+        assert below["wilson_lo"] <= below["freq"] <= below["wilson_hi"]
 
     def test_negative_trials_rejected(self):
         with pytest.raises(ConfigError, match="trials"):
-            threshold_transition_experiment(SimplexModel.uniform(10), 0.3, -1, seed=1)
-
-    def test_m_hypothesis_warning(self):
-        space = EdgeSpace(30)
-        alpha = np.ones(space.num_edges)
-        alpha[0] = 3.0
-        alpha[1] = 1.0 / 3.0
-        m = SimplexModel(space, alpha, float(space.num_edges))
-        with pytest.warns(UserWarning):
-            threshold_transition_experiment(m, 0.3, trials=1, seed=3)
+            self.config(10, 0.3, -1, seed=1)
 
 
 class TestMstExperiment:
     def test_wrong_n_rejected(self):
-        with pytest.raises(ConfigError):
-            mst_experiment(DecomposableWeights(np.ones(6)), 7, 5, seed=1)
+        with pytest.raises(ConfigError, match="counts sum to 6, config says n=7"):
+            mst_experiment("dvalues:1x6", 7, 5, seed=1)
 
     def test_negative_trials_rejected(self):
         with pytest.raises(ConfigError, match="trials"):
-            mst_experiment(DecomposableWeights(np.ones(6)), 6, -1, seed=1)
+            mst_experiment("ones", 6, -1, seed=1)
 
     def test_too_many_values_rejected(self):
-        d = np.concatenate([np.full(5, 0.8 + 0.1 * k) for k in range(5)])
-        with pytest.raises(ConfigError):
-            mst_experiment(DecomposableWeights(d), 25, 5, seed=1)
+        with pytest.raises(ConfigError, match="no series mode"):
+            mst_experiment("dvalues:0.8x5,0.9x5,1x5,1.1x5,1.2x5", 25, 5, seed=1)
 
     def test_small_n_exact_oracle(self):
         # exact finite-size expectation 73/70 for the all-ones model at n=4,
@@ -440,7 +435,7 @@ class TestMstExperiment:
         # ~6% above it, which the relative gap records
         exact = expected_mst_weight_exact(4)
         assert exact == pytest.approx(73.0 / 70.0, abs=1e-12)
-        res = mst_experiment(DecomposableWeights(np.ones(4)), 4, trials=30_000, seed=12)
+        res = mst_experiment("ones", 4, trials=30_000, seed=12)
         se = res.mc_se
         assert abs(res.mc_mean - 73.0 / 70.0) < 4 * se
         assert 0.03 < res.relative_gap < 0.10
@@ -448,13 +443,13 @@ class TestMstExperiment:
 
     def test_exact_oracle_n5_cross_check(self):
         exact = expected_mst_weight_exact(5)
-        res = mst_experiment(DecomposableWeights(np.ones(5)), 5, trials=30_000, seed=13)
+        res = mst_experiment("ones", 5, trials=30_000, seed=13)
         assert abs(res.mc_mean - exact) < 4 * res.mc_se
 
     def test_mode_selection(self):
-        res = mst_experiment(DecomposableWeights(np.ones(12)), 12, trials=5, seed=14)
+        res = mst_experiment("ones", 12, trials=5, seed=14)
         assert res.series_mode == "exact"
-        res = mst_experiment(DecomposableWeights(np.ones(40)), 40, trials=5, seed=15)
+        res = mst_experiment("ones", 40, trials=5, seed=15)
         assert res.series_mode == "grouped"
 
 
@@ -481,8 +476,7 @@ class TestNamedExperimentsAreSweeps:
 
     @pytest.mark.parametrize("alpha", ["ones", "dvalues:0.5x6,2x6"])
     def test_mst_experiment(self, alpha):
-        # the experiment builds its model from DecomposableWeights, the sweep through build_model
-        res = mst_experiment(DecomposableWeights(resolve_dvalues(alpha, 12)), 12, trials=15, seed=21)
+        res = mst_experiment(alpha, 12, trials=15, seed=21)
         s = run_sweep(ExperimentConfig(kind="mst", n=12, trials=15, seed=21, alpha=alpha)).summaries[0]
         assert (res.mc_mean, res.mc_se) == (s["mean"], s["se"])
 
@@ -499,11 +493,3 @@ class TestNamedExperimentsAreSweeps:
             )
         first = run_sweep(ExperimentConfig(kind="atsp", n=9, trials=4, seed=22, beta="uniform:2")).summaries[0]
         assert rows[0].mean_tour_over_assignment == first["mean_ratio"]
-
-    def test_threshold_transition_experiment(self):
-        res = threshold_transition_experiment(SimplexModel.uniform(40), 0.3, trials=25, seed=23)
-        cfg = ExperimentConfig(kind="connectivity", n=40, trials=25, seed=23, p_mode="p0eps", eps=0.3)
-        below, above = run_sweep(cfg).summaries
-        assert (below["p"], above["p"]) == ((1 - 0.3) * res.p0, (1 + 0.3) * res.p0)
-        assert (res.freq_below, res.below_interval) == (below["freq"], (below["wilson_lo"], below["wilson_hi"]))
-        assert (res.freq_above, res.above_interval) == (above["freq"], (above["wilson_lo"], above["wilson_hi"]))
