@@ -3,13 +3,13 @@
 Connectivity and component structure run on min-label hooking with pointer
 jumping (a few numpy calls per round); diameter runs a bit-parallel BFS from
 all sources at once (one bit per source and vertex; the adjacency lists come
-from one sort of int32 keys, int64 past n = 46,336, and the first level from
-runs of those keys; then a few numpy calls over the lists per BFS level, each
-vertex pulling its neighbours' reach and, on dense levels, only as much of its
-list as it takes to hear from every source); the perfect-matching check works
-across the fixed vertex split [0, n/2) vs [n/2, n) with scipy's Hopcroft-Karp; the
-Hamilton-cycle decision is exact backtracking with pruning, capped at
-``HAMILTON_MAX_N`` vertices.
+from one sort of int32 keys, int64 past n = 46,340, and each block's first
+level from one exact bincount over its sources' lists; then a few numpy calls
+over the lists per BFS level, each vertex pulling its neighbours' reach and,
+on dense levels, only as much of its list as it takes to hear from every
+source); the perfect-matching check works across the fixed vertex split
+[0, n/2) vs [n/2, n) with scipy's Hopcroft-Karp; the Hamilton-cycle decision
+is exact backtracking with pruning, capped at ``HAMILTON_MAX_N`` vertices.
 """
 
 from __future__ import annotations
@@ -105,29 +105,6 @@ def _pull(reach, lists):
     return np.bitwise_or.reduceat(np.take(reach, got, axis=1), firsts, axis=1)
 
 
-def _level_one(keys, n, nwords):
-    """The first BFS level as (vertex, word) cells, from the sorted adjacency keys.
-
-    Each key is ``end * 64 * nwords + other``, so a run of equal ``key >> 6``
-    is one cell: vertex ``end`` and the word of source ``other``, with bits
-    the OR of ``1 << (key & 63)`` over the run.  Returns each cell's position
-    ``word * n + vertex`` in a word-major table (in the keys' dtype, which
-    holds it) and its bits, ordered by word, and the nwords + 1 cuts where
-    each word's cells start; so the cells of a block of words are one slice,
-    and no table of every word is built.
-    """
-    shifted = keys >> 6
-    runs = np.flatnonzero(np.concatenate(([True], shifted[1:] != shifted[:-1])))
-    vertex, word = np.divmod(shifted[runs], nwords)
-    del shifted  # before the 2m bits below
-    bits = keys.astype(np.uint64)
-    bits &= 63
-    bits = np.bitwise_or.reduceat(np.left_shift(np.uint64(1), bits, out=bits), runs)
-    order = np.argsort(word.astype(np.min_scalar_type(nwords - 1)), kind="stable")
-    word = word[order]
-    return word * n + vertex[order], bits[order], np.searchsorted(word, np.arange(nwords + 1))
-
-
 def diameter(g: ThresholdGraph) -> int | float:
     """Longest shortest path; math.inf when disconnected.
 
@@ -136,15 +113,20 @@ def diameter(g: ThresholdGraph) -> int | float:
     from source 64*w + s of the block.  The words are stored word-major, as W
     rows of n, so each pass below runs along contiguous rows.  The graph is
     held once as a symmetric adjacency grouped by vertex: each edge listed
-    under both ends as the key ``end * S + other``, S = 64 * nwords, and the
-    keys sorted once.  They are int32 while ``n * S < 2**31`` (n up to
-    46,336) and int64 above.  ``indptr`` is where each ``v * S`` falls among
-    the sorted keys, and the neighbour lists are the keys modulo S.  Since S
-    is a multiple of 64, a run of equal ``key >> 6`` is one vertex's
-    neighbours within one source word: the first level's reach is built from
-    these runs as (vertex, word) cells, in O(m) memory, before the keys are
-    widened to the lists (``_level_one``).  A block copies its words' cells
-    into its reach and adds the sources' own bits.
+    under both ends as the key ``end * n + other``, and the keys sorted once.
+    They are int32 while ``n * n < 2**31`` (n up to 46,340) and int64 above.
+    ``indptr`` is where each ``v * n`` falls among the sorted keys, and the
+    neighbour lists are the keys modulo n.
+
+    A block's first level is one ``bincount`` over its sources' lists, which
+    are one slice of them: source offset o with neighbour v adds ``2**(o %
+    32)`` to half ``(o >> 5) & 1`` of word ``o >> 6`` of column v.  The
+    sources of a word own distinct bits and each pair is listed once, so the
+    sum is their OR, and each half stays below 2**32, exact in a double.
+    Cast to little-endian uint32, the halves read as the block's uint64
+    words.  The doubles take 16 * W * n bytes, twice the block's reach and,
+    as no vertex is isolated, at most twice a full gather's 16 * W * m.  The
+    block then adds its sources' own bits.
 
     One BFS level ORs each vertex's neighbours' reach words into it: one
     ``take`` over the neighbour lists and one ``bitwise_or.reduceat`` over
@@ -176,20 +158,18 @@ def diameter(g: ThresholdGraph) -> int | float:
     """
     n, m = g.n, g.edge_count
     nwords = -(-n // 64)
-    span = 64 * nwords
-    # each edge under both ends as end * span + other; sorted, the keys group
-    # the neighbour lists by vertex, and key >> 6 names a (vertex, word) cell
-    keys = np.empty(2 * m, dtype=np.int32 if n * span < 2**31 else np.int64)
+    # each edge under both ends as end * n + other; sorted, the keys group
+    # the neighbour lists by vertex
+    keys = np.empty(2 * m, dtype=np.int32 if n * n < 2**31 else np.int64)
     for ends, others, half in ((g.tails, g.heads, slice(0, m)), (g.heads, g.tails, slice(m, None))):
-        np.multiply(ends, span, out=keys[half])
+        np.multiply(ends, n, out=keys[half])
         np.add(keys[half], others, out=keys[half])
     keys.sort()
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * span)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
     deg = np.diff(indptr)
     if deg.min() == 0:
         return math.inf
-    cells, cell_bits, cuts = _level_one(keys, n, nwords)
-    nbrs = np.remainder(keys, span, out=keys).astype(np.int64)
+    nbrs = np.remainder(keys, n, out=keys).astype(np.int64)
     del keys
     starts = indptr[:-1]
     blocks = -(-nwords // max(1, min(nwords, _GATHER_BYTES // (16 * m))))
@@ -203,13 +183,13 @@ def diameter(g: ThresholdGraph) -> int | float:
 
     for s0 in range(0, n, 64 * words):
         s1 = min(n, s0 + 64 * words)
-        # level 1: each block source reaches its neighbours (the block's
-        # cells) and itself
-        w0 = s0 // 64
-        reach = np.zeros((words, n), dtype=np.uint64)
-        at = slice(cuts[w0], cuts[min(nwords, w0 + words)])
-        reach.reshape(-1)[cells[at] - w0 * n] = cell_bits[at]
+        # level 1: each block source reaches its neighbours, one exact sum of
+        # bits per 32-bit half word, and itself
         off = np.arange(s1 - s0)
+        slots = np.repeat(2 * n * (off >> 6) + ((off >> 5) & 1), deg[s0:s1])
+        slots += 2 * nbrs[indptr[s0] : indptr[s1]]
+        reach = np.bincount(slots, np.repeat(np.ldexp(1.0, off & 31), deg[s0:s1]), 2 * words * n)
+        reach = reach.astype("<u4").view("<u8").reshape(words, n)
         reach[off >> 6, off + s0] |= one << (off & 63).astype(np.uint64)
         full = np.bitwise_or.reduce(reach, axis=1, keepdims=True)
         # sources * (1 - d)**k <= _PREFIX_MISS once k * -ln(1 - d) reaches this
@@ -220,8 +200,7 @@ def diameter(g: ThresholdGraph) -> int | float:
             if 2 * cols.size < n:
                 pulled = _pull(reach, _lists(nbrs, starts, deg, cols))
             else:
-                # set bits: at level 1 the sources and their neighbours
-                bits = s1 - s0 + int(indptr[s1] - indptr[s0]) if dist == 1 else int(np.bitwise_count(reach).sum())
+                bits = int(np.bitwise_count(reach).sum())
                 k = max(1, math.ceil(need / -math.log1p(-bits / ((s1 - s0) * n))))
                 if k * n <= m:
                     pulled = _pull(reach, prefix(k) if cols.size == n else _lists(nbrs, starts, deg, cols, hi=k))

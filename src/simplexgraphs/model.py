@@ -13,8 +13,9 @@ Directed ordered pairs i != j map to ``i*(n-1) + (j - [j > i])``: the n x n
 matrix read row-major without its diagonal (``off_diagonal``), inverted by
 one divmod.  Every map vectorizes over numpy arrays.
 
-All types here are immutable after construction (arrays are frozen), so they
-can be shared freely across concurrent trial workers.
+All types here hold their arrays as read-only views, so they can be shared
+freely across concurrent trial workers.  A view of an array the caller
+passed in still sees the caller's own writes to it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ MAX_UNIT_EXPONENTIAL = 53 * math.log(2)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only contiguous view; the caller's own array stays writable."""
+    a = np.ascontiguousarray(a).view()
     a.flags.writeable = False
     return a
 

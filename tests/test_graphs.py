@@ -502,10 +502,10 @@ def hub_cycle_edges(n):
 
 
 class TestDiameterWideKeys:
-    """Graphs large enough that the adjacency keys end * 64 * nwords + other
-    leave int32.  The keys are int32 while n * 64 * nwords < 2**31, which
-    holds up to n = 46,336; a table of every source word would take n**2 / 8
-    bytes, 268 MB at n = 46,341."""
+    """Graphs at the edge of int32 adjacency keys end * n + other.  The keys
+    are int32 while n * n < 2**31, which holds up to n = 46,340, and int64
+    from n = 46,341; a table of every source word would take n**2 / 8 bytes,
+    268 MB at n = 46,341."""
 
     @staticmethod
     def diameter_and_peak(g):
@@ -517,7 +517,7 @@ class TestDiameterWideKeys:
             tracemalloc.stop()
         return d, peak
 
-    @pytest.mark.parametrize("n", [46_336, 46_341])
+    @pytest.mark.parametrize("n", [46_336, 46_340, 46_341])
     def test_star_at_the_top_vertex(self, n):
         d, peak = self.diameter_and_peak(ThresholdGraph.from_edges(n, [(v, n - 1) for v in range(n - 1)]))
         assert d == 2

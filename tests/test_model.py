@@ -320,6 +320,13 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector(EdgeSpace(4), np.array([np.nan, 1, 2, 3, 4, 5]))
 
+    def test_stores_a_read_only_view_of_the_callers_array(self):
+        x = np.array([0.1, 0.5, 0.9])
+        w = WeightVector(EdgeSpace(3), x)
+        assert not w.x.flags.writeable
+        assert x.flags.writeable
+        x[0] = 0.2
+
 
 class TestThreshold:
     def test_direct_comparison(self):
@@ -393,6 +400,13 @@ class TestThreshold:
     def test_from_edges_rejects_bad_pairs(self, pairs):
         with pytest.raises(ValueError):
             ThresholdGraph.from_edges(5, pairs)
+
+    def test_stores_read_only_views_of_the_callers_indices(self):
+        idx = np.array([0, 2, 5], dtype=np.int64)
+        g = ThresholdGraph(4, idx)
+        assert not any(a.flags.writeable for a in (g.edge_indices, g.tails, g.heads))
+        assert idx.flags.writeable
+        idx[0] = 1
 
     @pytest.mark.parametrize("indices", [[3, 1], [2, 2], [-1, 0], [0, 10], [[0, 1]]])
     def test_rejects_indices_not_strictly_increasing_in_range(self, indices):
