@@ -51,6 +51,23 @@ FROZEN = {
         dict(kind="diameter", n=300, trials=4, p_mode="theta", theta=0.8),
         "b965be1e968b27c2a0285183870ca40f35193c77544d49befa052d584afc3269",
     ),
+    # non-unit alpha with L != N at a size whose draw splits (N+1 >= 2^18):
+    # the p0eps schedule brackets the connectivity threshold, so each graph
+    # keeps a few thousand of the 319,600 coordinates.
+    "connectivity-alpha-L-split": (
+        dict(kind="connectivity", n=800, trials=4, p_mode="p0eps", eps=0.3, alpha="uniform:2", L=1e5),
+        "f68e47dc9e5cb3146167ff55742fde8a9cdb2269277f7b355702848b5963e3a7",
+    ),
+    # independent exponential coordinates, mean degree ~4, split draw
+    "giant-exponential-split": (
+        dict(kind="giant", model="exponential", rate=2.0, n=800, trials=4, p_values=(0.0025,)),
+        "d0588711dd52fc6f1910cce87cef8f657f35caf8bedaa3276635551f06fd2fe1",
+    ),
+    # the ball thresholds a dense sample: 99-128 of 780 coordinates kept
+    "giant-ball": (
+        dict(kind="giant", model="ball", radius=1.5, n=40, trials=10, p_values=(0.01,)),
+        "f873f0411f1e9bafc4d25fdb317ed5006aabc4083a4eb6ab3ede326652bbddaf",
+    ),
     "hamilton": (
         dict(kind="hamilton", n=12, trials=10, p_values=(0.5,)),
         "d08817e028587164a30a0580f2ec681531b1619752f3fa9a999b7835d764500d",
