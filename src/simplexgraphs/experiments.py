@@ -25,7 +25,7 @@ import numpy as np
 from . import graphs, oracle
 from .atsp import HELD_KARP_MAX_N, held_karp, hungarian, patch, row_symmetric_model, sample_row_symmetric
 from .errors import CapacityError, ConfigError
-from .model import DecomposableWeights, EdgeSpace, SimplexModel, threshold
+from .model import DecomposableWeights, EdgeSpace, SimplexModel
 from .samplers import DensityModel, SeededRng, marginal_cdf
 
 MODEL_KINDS = ("simplex", "exponential", "ball")
@@ -387,7 +387,7 @@ def _run_trial(ctx: _SweepContext, p_index: int, p: float, trial: int) -> TrialR
         outcome = 1.0 if value <= p else 0.0
         aux = (value,)
     else:
-        g = threshold(ctx.model.sample(rng), p)
+        g = ctx.model.threshold_draw(rng, p)
         m = float(g.edge_count)
         if kind == "connectivity":
             summary = graphs.components(g)

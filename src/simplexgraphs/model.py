@@ -324,10 +324,15 @@ class ThresholdGraph:
         return int(self.edge_indices.size)
 
 
-def threshold(x: WeightVector, p: float) -> ThresholdGraph:
-    """Keep the coordinates with x_e <= p; monotone in p for a fixed vector."""
+def check_threshold(space: EdgeSpace, p: float) -> None:
+    """Refuse a threshold that is negative or NaN, and a directed space."""
     if not p >= 0:
         raise ValueError(f"threshold must be non-negative, got {p}")
-    if x.space.directed:
+    if space.directed:
         raise ValueError("thresholding is defined on undirected weight vectors")
+
+
+def threshold(x: WeightVector, p: float) -> ThresholdGraph:
+    """Keep the coordinates with x_e <= p; monotone in p for a fixed vector."""
+    check_threshold(x.space, p)
     return ThresholdGraph(x.space.n, np.flatnonzero(x.x <= p))

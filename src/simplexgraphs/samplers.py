@@ -30,7 +30,21 @@ after the draw equal the one-thread draw's, so no output depends on k.  By
 default k is the CPU count, so a draw outside a sweep (the CLI ``sample``
 command, a library call) uses as many threads as a one-worker sweep; the
 sweep harness passes ``cpu_count // workers`` (at least 1).  The threads
-start and end inside the draw.
+start and end inside the draw.  The slices sit on numpy's pairwise-sum
+tree (2 slices, or 4 from 4 threads up), so sums of the slices, taken on
+their threads, add up to the whole sum bit for bit.
+
+A thresholded trial never forms X (``DensityModel.threshold_draw``).
+x_e = L * E_e / S / alpha_e (simplex) or E_e / rate_e (exponential) is
+monotone in E_e, so one compare of the raw exponentials with a level a
+hair above p * S / L * alpha_max (or p * rate_max) picks the candidates,
+and x is formed on those alone, with the same ufuncs in the same order.
+IEEE multiply and divide round an element the same way on a subset as on
+the whole array, so the kept set equals ``threshold(sample(rng), p)`` bit
+for bit.  The level is checked on every draw, and is inf (every
+coordinate a candidate) where the check fails.  A split draw takes S and
+the compare on its slices' threads.  The dense ``sample`` stays the
+reference, and is what ``mst``, ``moments``, ``marginals`` and ``atsp`` draw.
 """
 
 from __future__ import annotations
@@ -41,14 +55,23 @@ import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; imported here, forked pool workers inherit it
 
 from ._numeric import pow_one_minus
-from .model import MAX_UNIT_EXPONENTIAL, EdgeSpace, SimplexModel, WeightVector, per_coordinate
+from .model import (
+    MAX_UNIT_EXPONENTIAL,
+    EdgeSpace,
+    SimplexModel,
+    ThresholdGraph,
+    WeightVector,
+    check_threshold,
+    per_coordinate,
+    threshold,
+)
 
 
 # A draw is split across threads only when every slice gets at least this many
@@ -78,31 +101,43 @@ class SeededRng:
 
     def exponential(self, size=None):
         """Unit exponentials -log1p(-U), computed in place on the fresh uniforms."""
-        if size is not None and (e := self._split_exponential(size)) is not None:
-            return e
+        if size is not None and (split := self._split_exponential(size)) is not None:
+            return split[0]
         e = np.asarray(self._gen.random(size))
         _neg_log1p_neg(e)
         return e if size is not None else e[()]  # one draw: a scalar, not a 0-d array
 
-    def _split_exponential(self, size) -> np.ndarray | None:
+    def exponential_parts(self, count: int, each=None) -> tuple[np.ndarray, list[int], list]:
+        """``exponential(count)``, the starts of the slices it was drawn on, and ``each(slice)`` of every slice.
+
+        A split draw calls ``each`` on each slice's own thread, right after
+        the slice is drawn; one slice (start 0) is the whole draw.  With
+        ``each=np.sum`` the parts add along ``_tree_sum`` to ``e.sum()`` bit
+        for bit.
+        """
+        split = self._split_exponential(count, each)
+        if split is not None:
+            return split
+        e = self.exponential(count)
+        return e, [0], [each(e) if each is not None else None]
+
+    def _split_exponential(self, size, each=None) -> tuple[np.ndarray, list[int], list] | None:
         """The draw of ``exponential(size)`` in contiguous slices on up to ``threads`` threads.
 
         Each double takes one PCG64DXSM output and ``advance(a)`` skips
         exactly a outputs, so the slice that starts at value a is drawn by a
         copy of the generator advanced by a.  The generator itself draws the
         last slice, so its state afterwards is the one the one-thread draw
-        leaves.  None (draw on one thread) when the draw is too small to give
-        two slices of ``_MIN_SLICE``.
+        leaves.  The slices are those of ``_tree_starts`` on the flat draw.
+        None (draw on one thread) when the draw is too small to give two
+        slices of ``_MIN_SLICE``.
         """
         count = math.prod(np.atleast_1d(size).tolist())
-        slices = min(self.threads, count // _MIN_SLICE)
-        if slices < 2:
+        starts = _tree_starts(count, min(self.threads, count // _MIN_SLICE))
+        if starts is None:
             return None
         bitgen = self._gen.bit_generator
         state = bitgen.state
-        out = np.empty(size)
-        flat = out.reshape(-1)
-        starts = [i * count // slices for i in range(slices)]
 
         def at(start: int) -> np.random.PCG64DXSM:
             # advance() also drops the half-used output of a 32-bit draw;
@@ -113,22 +148,65 @@ class SeededRng:
             copy.state = {**copy.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
             return copy
 
-        def fill(gen: np.random.Generator, start: int, stop: int) -> None:
-            chunk = flat[start:stop]
-            gen.random(out=chunk)
-            _neg_log1p_neg(chunk)
+        gens = {a: np.random.Generator(at(a)) for a in starts[:-1]}
+        bitgen.state = at(starts[-1]).state
+        gens[starts[-1]] = self._gen
 
-        # the helper threads start and end inside this call: none outlives the draw
-        with ThreadPoolExecutor(max_workers=slices - 1) as pool:
-            helpers = [pool.submit(fill, np.random.Generator(at(a)), a, b) for a, b in zip(starts, starts[1:])]
-            bitgen.state = at(starts[-1]).state
-            fill(self._gen, starts[-1], count)
-            for h in helpers:
-                h.result()
-        return out
+        def fill(chunk: np.ndarray, start: int):
+            gens[start].random(out=chunk)
+            _neg_log1p_neg(chunk)
+            return each(chunk) if each is not None else None
+
+        out = np.empty(size)
+        return out, starts, _map_slices(out.reshape(-1), starts, fill)
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
+
+
+def _tree_starts(count: int, slices: int) -> list[int] | None:
+    """Where a draw of ``count`` values is cut for ``slices`` threads: on numpy's pairwise-sum tree.
+
+    numpy sums c > 128 contiguous doubles as the sum of the first
+    ``c//2 - (c//2) % 8`` values plus the sum of the rest, each half summed
+    the same way.  So 2 slices cut where the tree's root cuts, and 4 slices
+    (from 4 threads up) cut each half again where the tree does; the slice
+    sums then add along the tree (``_tree_sum``) to the whole sum bit for
+    bit.  None for fewer than 2 slices.  Every slice holds at least
+    ``count // slices`` rounded down to a multiple of 8 values.
+    """
+
+    def root(c: int) -> int:
+        return c // 2 - (c // 2) % 8
+
+    if slices < 2:
+        return None
+    mid = root(count)
+    if slices < 4:
+        return [0, mid]
+    return [0, root(mid), mid, mid + root(count - mid)]
+
+
+def _tree_sum(parts: list) -> float:
+    """The sums of a draw's ``_tree_starts`` slices, added along the tree: ``e.sum()`` bit for bit."""
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])]
+    return parts[0]
+
+
+def _map_slices(flat: np.ndarray, starts: list[int], work) -> list:
+    """``[work(flat[a:b], a)]`` for each slice of ``flat`` that starts at an entry of ``starts``, in order.
+
+    Each slice runs on its own thread, the last on the calling thread.  The
+    helper threads start and end inside this call: none outlives it.
+    """
+    bounds = list(zip(starts, [*starts[1:], flat.size]))
+    if len(bounds) == 1:
+        return [work(flat, 0)]
+    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+        helpers = [pool.submit(work, flat[a:b], a) for a, b in bounds[:-1]]
+        last = work(flat[bounds[-1][0] :], bounds[-1][0])
+        return [h.result() for h in helpers] + [last]
 
 
 def _neg_log1p_neg(u: np.ndarray) -> None:
@@ -163,6 +241,101 @@ def sample_simplex_batch(model: SimplexModel, rng: SeededRng, count: int) -> np.
     if not budget.max() <= model.L * (1 + 1e-12):
         raise FloatingPointError(f"simplex draw left the budget polytope: {budget.max()!r} > L={model.L!r}")
     return x
+
+
+# The candidate level's relative margin over p * S / L * alpha_max; see
+# ``_candidate_level``.
+_LEVEL_MARGIN = 1e-12
+
+
+def _candidate_level(level: float, weight: Callable[[float], float], p: float) -> float:
+    """``level`` raised by ``_LEVEL_MARGIN``, or inf where that does not verifiably cover p.
+
+    ``weight(E)`` is the smallest weight any coordinate forms from the
+    exponential E (the same ufuncs in the same order, divided by the largest
+    alpha or rate).  Each rounding step is monotone in E and a larger
+    divisor never gives a larger quotient, so once ``weight`` of the double
+    just above the returned level exceeds p, every coordinate whose
+    exponential lies above the level weighs more than p.  The check runs
+    on every draw; δ is only what makes it pass.
+
+    In the normal range δ needs to cover about 7 roundings of relative size
+    2^-53: three in the level (``p * S``, ``/ L``, ``* alpha_max``), three in
+    the weight, one in ``* (1 + δ)``, so about 8e-16.  ``_LEVEL_MARGIN`` =
+    1e-12 is over 1000 times that, and lets in an expected 1e-12 of the
+    kept coordinates as extra candidates.  Where ``p * S / L`` or the
+    weight near p is subnormal (or p is 0), rounding errors are absolute,
+    not relative, and the check may fail; the level is then inf, every
+    coordinate is a candidate, and the graph is the dense one by
+    construction.  An overflowing level is inf as well.
+    """
+    level *= 1 + _LEVEL_MARGIN
+    return level if weight(math.nextafter(level, math.inf)) > p else math.inf
+
+
+def _candidates(e: np.ndarray, starts: list[int], stop: int, level: float) -> np.ndarray:
+    """``flatnonzero(e[:stop] <= level)``, each of the draw's slices compared on its own thread.
+
+    The slices' threads write one mask, and the calling thread allocates it
+    and reads its indices: an array allocated on a slice's thread stays in
+    that thread's malloc arena after the trial.
+    """
+    mask = np.empty(stop, dtype=bool)
+
+    def below(chunk: np.ndarray, start: int) -> None:
+        part = mask[start:stop]
+        np.less_equal(chunk[: part.size], level, out=part[: chunk.size])
+
+    _map_slices(e, starts, below)
+    return np.flatnonzero(mask)
+
+
+def _kept(cand: np.ndarray, xc: np.ndarray, p: float) -> np.ndarray:
+    """The candidates whose weight ``xc`` is at most p; a negative or NaN weight is refused."""
+    if xc.size and not xc.min() >= 0:  # min propagates NaN
+        raise ValueError("weights must be non-negative numbers")
+    inside = xc <= p
+    return cand if inside.all() else cand[inside]
+
+
+def threshold_simplex(model: SimplexModel, rng: SeededRng, p: float) -> ThresholdGraph:
+    """``threshold(sample_simplex(model, rng), p)`` without forming the weight vector.
+
+    It draws the same N+1 exponentials, with their sum S, and forms
+    x_e = L * E_e / S / alpha_e only for the candidates E_e <= ``level``,
+    a bound on p * S * alpha_e / L (``_candidate_level``).  Each ufunc rounds
+    an element the same way on a subset as on the whole array, so the kept
+    set is the dense one bit for bit.  A split draw sums and compares each
+    slice on its own thread.
+
+    With no vector to sum, the budget check becomes: 0 < S < inf (else
+    FloatingPointError), the slack E_N >= 0 (with every E >= 0, the budget
+    sum_e alpha_e x_e = L (S - E_N) / S is at most L exactly when E_N >= 0;
+    else FloatingPointError), and every candidate weight >= 0 (a negative
+    or NaN one is the ValueError ``WeightVector`` raises).
+    """
+    check_threshold(model.space, p)
+    N, L = model.space.num_edges, model.L
+    e, starts, sums = rng.exponential_parts(N + 1, np.sum)
+    S = float(_tree_sum(sums))
+    if not 0 < S < math.inf:
+        raise FloatingPointError(f"simplex draw left the budget polytope: its exponentials sum to {S!r}")
+    if not e[N] >= 0:
+        raise FloatingPointError(f"simplex draw left the budget polytope: its slack exponential is {e[N]!r}")
+    alpha_max = model.alpha_max
+    level = _candidate_level(p * S / L * alpha_max, lambda E: E * L / S / alpha_max, p)
+    cand = _candidates(e, starts, N, level)
+    # x = L * e / S / alpha on the candidates, in the dense sampler's order
+    xc = e[cand]
+    np.multiply(xc, L, out=xc)
+    np.divide(xc, S, out=xc)
+    if not model.unit_alpha:
+        np.divide(xc, model.alpha[cand], out=xc)
+    kept = _kept(cand, xc, p)
+    # drop the weights before the graph allocates its endpoints, so the peak
+    # holds only the draw and the kept indices, as the dense path's does
+    del xc, cand
+    return ThresholdGraph(model.space.n, kept)
 
 
 _MAX_RADIUS = sys.float_info.max / 2.0**64
@@ -247,6 +420,31 @@ class DensityModel:
         return cls("ball", space, radius=float(radius))
 
     # --- sampling -----------------------------------------------------------
+
+    def threshold_draw(self, rng: SeededRng, p: float) -> ThresholdGraph:
+        """``threshold(self.sample(rng), p)``: the same graph bit for bit, and the same stream left behind.
+
+        The simplex and exponential families never form the weight vector:
+        they compare the raw exponentials with a level and form weights only
+        on the candidates below it (``threshold_simplex``).  An exponential
+        coordinate is E_e / rate_e, so its candidates are
+        E_e <= p * rate_max * (1 + δ).  The ball thresholds its dense sample.
+        """
+        if self.kind == "simplex":
+            return threshold_simplex(self.simplex, rng, p)
+        if self.kind == "ball":
+            return threshold(self.sample(rng), p)
+        check_threshold(self.space, p)
+        N = self.space.num_edges
+        e, starts, _ = rng.exponential_parts(N)
+        rate_max = self._rate_max
+        cand = _candidates(e, starts, N, _candidate_level(p * rate_max, lambda E: E / rate_max, p))
+        xc = e[cand]
+        return ThresholdGraph(self.space.n, _kept(cand, np.divide(xc, self.rates[cand], out=xc), p))
+
+    @cached_property
+    def _rate_max(self) -> float:
+        return float(self.rates.max())
 
     def sample(self, rng: SeededRng) -> WeightVector:
         if self.kind == "simplex":

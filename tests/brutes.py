@@ -19,7 +19,7 @@ from collections import Counter
 
 import numpy as np
 
-from simplexgraphs import EdgeSpace, prob_all_absent
+from simplexgraphs import EdgeSpace, SeededRng, prob_all_absent
 from simplexgraphs._numeric import pow_one_minus
 
 
@@ -344,15 +344,17 @@ def orthant_ball_reference(radius, space, rng):
     return np.abs(g) * (r / np.linalg.norm(g))
 
 
-class PhiloxRng:
+class PhiloxRng(SeededRng):
     """The former ``SeededRng``: Philox keyed by (seed mod 2^64, stream mod 2^64).
 
     The reference generator for the two-sample tests of the law: every frozen
     CSV hash before PCG64DXSM was recorded from these draws.  It draws on one
-    thread whatever ``threads`` says, which gave the same numbers.
+    thread whatever ``threads`` says, which gave the same numbers; the
+    inherited ``exponential_parts`` then returns its one-slice draw.
     """
 
     def __init__(self, seed, stream=0, threads=1):
+        self.threads = 1
         key = np.array([int(seed) % 2**64, int(stream) % 2**64], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

@@ -182,11 +182,12 @@ class TestSweepCommand:
         ids=["numpy", "bare"],
     )
     def test_memory_error_exit_3(self, tmp_path, capsys, monkeypatch, workers, error, line):
-        # a draw too large to allocate; pool workers inherit the patch under fork
-        def no_memory(model, rng):
+        # a draw too large to allocate; pool workers inherit the patch under fork.
+        # A connectivity trial draws through threshold_draw, not sample.
+        def no_memory(model, rng, p):
             raise error
 
-        monkeypatch.setattr(DensityModel, "sample", no_memory)
+        monkeypatch.setattr(DensityModel, "threshold_draw", no_memory)
         config = tmp_path / "conf.txt"
         config.write_text(f"kind=connectivity\nn=30\np=0.3\ntrials=2\nseed=2\nworkers={workers}\n")
         assert main(["sweep", "--config", str(config)]) == 3

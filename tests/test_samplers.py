@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2_contingency
 
@@ -24,11 +26,12 @@ from simplexgraphs import (
     marginal_cdf,
     sample_simplex,
     sample_simplex_batch,
+    threshold,
 )
 from simplexgraphs.atsp import row_symmetric_model
 from simplexgraphs.oracle import check_basic_bounds, sigma_simplex
 from simplexgraphs.model import MAX_UNIT_EXPONENTIAL
-from simplexgraphs.samplers import _MIN_SLICE
+from simplexgraphs.samplers import _MIN_SLICE, _tree_starts, _tree_sum
 
 KS_LIMIT = 0.0062  # 1e5-sample critical value used throughout
 
@@ -45,6 +48,55 @@ def _ball_marginal_pdf(N: int, R: float):
     return lambda t: (1 - (t / R) ** 2) ** ((N - 1) / 2) / norm
 
 
+class _OneThreadFake(SeededRng):
+    """A SeededRng whose ``exponential`` is replaced: drawn on one thread, any shape."""
+
+    def __init__(self):
+        super().__init__(0, threads=1)
+
+
+class OverBudgetRng(_OneThreadFake):
+    # a negative "exponential" shrinks the normalizing sum, so the draw
+    # lands outside the polytope; the check must survive python -O
+    def exponential(self, size):
+        e = np.ones(size)
+        e[..., -1] = -1.5
+        return e
+
+
+class LargestUniformRng(_OneThreadFake):
+    # every uniform is 1 - 2^-53, the largest the generator returns, so every
+    # exponential is the largest a draw can see and L * E_e is the largest product
+    def exponential(self, size):
+        return -np.log1p(-np.full(size, 1.0 - 2.0**-53))
+
+
+class FirstValueRng(_OneThreadFake):
+    """Unit exponentials but the first coordinate, which is ``value``."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def exponential(self, size):
+        e = np.ones(size)
+        e[..., 0] = self.value
+        return e
+
+
+def _largest_budget() -> float:
+    """The largest L with L * MAX_UNIT_EXPONENTIAL finite."""
+    L = sys.float_info.max / MAX_UNIT_EXPONENTIAL
+    while not math.isfinite(L * MAX_UNIT_EXPONENTIAL):
+        L = math.nextafter(L, 0.0)
+    while math.isfinite(math.nextafter(L, math.inf) * MAX_UNIT_EXPONENTIAL):
+        L = math.nextafter(L, math.inf)
+    return L
+
+
+_LARGEST_L = _largest_budget()
+
+
 class TestSimplexSampler:
     def test_budget_constraint_always_holds(self):
         model = SimplexModel.uniform(8, L=10.0)
@@ -53,33 +105,14 @@ class TestSimplexSampler:
         assert (xs @ model.alpha <= model.L * (1 + 1e-12)).all()
 
     def test_over_budget_draw_raises(self):
-        # a negative "exponential" shrinks the normalizing sum, so the draw
-        # lands outside the polytope; the check must survive python -O
-        class OverBudgetRng:
-            def exponential(self, size):
-                e = np.ones(size)
-                e[:, -1] = -1.5
-                return e
-
         with pytest.raises(FloatingPointError, match="budget polytope"):
             sample_simplex_batch(SimplexModel.uniform(3), OverBudgetRng(), 2)
 
     def test_largest_budget_draws_finite_coordinates(self):
-        # every uniform is 1 - 2^-53, the largest the generator returns, so every
-        # exponential is the largest a draw can see and L * E_e is the largest product
-        class LargestUniformRng:
-            def exponential(self, size):
-                return -np.log1p(-np.full(size, 1.0 - 2.0**-53))
-
         assert LargestUniformRng().exponential(1)[0] == MAX_UNIT_EXPONENTIAL
-        L = sys.float_info.max / MAX_UNIT_EXPONENTIAL
-        while not math.isfinite(L * MAX_UNIT_EXPONENTIAL):
-            L = math.nextafter(L, 0.0)
-        while math.isfinite(math.nextafter(L, math.inf) * MAX_UNIT_EXPONENTIAL):
-            L = math.nextafter(L, math.inf)
         with pytest.raises(ValueError, match="budget"):
-            SimplexModel.uniform(3, L=math.nextafter(L, math.inf))
-        x = sample_simplex_batch(SimplexModel.uniform(3, L=L), LargestUniformRng(), 2)
+            SimplexModel.uniform(3, L=math.nextafter(_LARGEST_L, math.inf))
+        x = sample_simplex_batch(SimplexModel.uniform(3, L=_LARGEST_L), LargestUniformRng(), 2)
         assert np.isfinite(x).all() and (x > 0).all()
 
     def test_single_draw_is_weight_vector(self):
@@ -228,11 +261,20 @@ class TestSplitDraw:
     @pytest.mark.parametrize("prior", list(_PRIOR_DRAWS))
     @pytest.mark.parametrize(
         "size",
-        [_CUTOFF - 4, _CUTOFF - 1, _CUTOFF, _CUTOFF + 1, _CUTOFF + 6, 3 * _MIN_SLICE + 3, (3, _MIN_SLICE + 5)],
+        [
+            _CUTOFF - 4,
+            _CUTOFF - 1,
+            _CUTOFF,
+            _CUTOFF + 1,
+            _CUTOFF + 6,
+            3 * _MIN_SLICE + 3,
+            (3, _MIN_SLICE + 5),
+            4 * _MIN_SLICE + 5,  # four slices on four threads
+        ],
     )
     def test_threads_give_the_same_bits(self, size, prior):
         draws = []
-        for threads in (1, 2, 3):
+        for threads in (1, 2, 3, 4):
             rng = SeededRng(8, 21, threads=threads)
             _PRIOR_DRAWS[prior](rng)
             before = threading.active_count()
@@ -268,6 +310,205 @@ class TestSplitDraw:
         if prior:
             rng.uniform(prior)
         assert (rng._split_exponential(size) is not None) == split
+
+    @pytest.mark.parametrize(
+        "count", [_CUTOFF, _CUTOFF + 13, 3 * _MIN_SLICE + 3, 4 * _MIN_SLICE + 5, 4 * _MIN_SLICE + 29]
+    )
+    def test_threads_give_the_same_sum(self, count):
+        # the slices' sums, added along numpy's pairwise tree, are the whole sum
+        draws = []
+        for threads in (1, 2, 3, 4):
+            rng = SeededRng(8, 22, threads=threads)
+            e, starts, sums = rng.exponential_parts(count, np.sum)
+            four = threads == 4 and count >= 4 * _MIN_SLICE
+            assert len(starts) == len(sums) == (1 if threads == 1 else 4 if four else 2)
+            draws.append((e, _tree_sum(sums), rng.uniform(5)))
+        e1, s1, u1 = draws[0]
+        assert s1 == e1.reshape(1, -1).sum(axis=1)[0]
+        for e, total, u in draws[1:]:
+            assert np.array_equal(e.view(np.uint64), e1.view(np.uint64))
+            assert np.float64(total).view(np.uint64) == np.float64(s1).view(np.uint64)
+            assert np.array_equal(u.view(np.uint64), u1.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "count, threads, slices",
+        [
+            (_CUTOFF, 2, 2),
+            (_CUTOFF, 4, 2),
+            (4 * _MIN_SLICE - 1, 4, 2),  # too small for four slices of _MIN_SLICE
+            (4 * _MIN_SLICE, 3, 2),  # the tree cuts in 2 or 4
+            (4 * _MIN_SLICE, 4, 4),
+            (4 * _MIN_SLICE, 8, 4),
+        ],
+    )
+    def test_slices_sit_on_the_sum_tree(self, count, threads, slices):
+        _, starts, _ = SeededRng(8, 21, threads=threads).exponential_parts(count)
+        assert starts == _tree_starts(count, slices)
+        assert min(np.diff([*starts, count])) >= _MIN_SLICE
+
+
+class TestTreeSum:
+    """The split draw relies on numpy's pairwise sum.
+
+    numpy sums c > 128 doubles as the sum of the first c//2 - (c//2) % 8 plus the sum of the rest.
+    """
+
+    # odd sizes, sizes with (c // 2) % 8 != 0, and the split draw's sizes
+    SIZES = [*range(520, 560), 777, 1001, 4099, 65_537, 262_145, 262_151, 319_601, 524_295, 1_999_001, 4_498_501]
+
+    def test_sizes_cover_every_cut_remainder(self):
+        assert {(c // 2) % 8 for c in self.SIZES} == set(range(8))
+        assert {c % 2 for c in self.SIZES} == {0, 1}
+
+    @pytest.mark.parametrize("slices", [2, 4])
+    def test_tree_split_sum_is_the_whole_sum(self, slices):
+        gen = np.random.default_rng(5)
+        for c in self.SIZES:
+            e = gen.exponential(size=c)
+            starts = _tree_starts(c, slices)
+            assert len(starts) == slices
+            parts = [e[a:b].sum() for a, b in zip(starts, [*starts[1:], c])]
+            whole = e.reshape(1, -1).sum(axis=1)[0]
+            assert np.float64(_tree_sum(parts)).view(np.uint64) == whole.view(np.uint64), c
+
+
+def _same_graph_and_stream(model: DensityModel, seed: int, p: float, threads: int = 1) -> None:
+    """``model.threshold_draw`` equals ``threshold(model.sample(...), p)`` and leaves the same stream."""
+    fused, dense = SeededRng(seed, 3, threads=threads), SeededRng(seed, 3, threads=threads)
+    g = model.threshold_draw(fused, p)
+    ref = threshold(model.sample(dense), p)
+    assert g.n == ref.n
+    assert np.array_equal(g.edge_indices, ref.edge_indices), (seed, p, threads)
+    assert np.array_equal(fused.uniform(4), dense.uniform(4))
+
+
+def _boundary_thresholds(x: np.ndarray, rank: float) -> list[float]:
+    """A coordinate of ``x`` and the doubles just below and above it."""
+    p = float(np.sort(x)[int(rank * (x.size - 1))])
+    return [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+
+
+class TestThresholdDraw:
+    """``DensityModel.threshold_draw`` keeps exactly the coordinates the dense sample keeps."""
+
+    def test_split_draw_non_unit_alpha_budget_not_n(self):
+        # N+1 = 604,451 values: two slices on 2 and 3 threads, four on 4
+        space = EdgeSpace(1100)
+        model = DensityModel.from_simplex(
+            SimplexModel(space, np.random.default_rng(7).uniform(0.5, 2.0, space.num_edges), 1e5)
+        )
+        x = model.sample(SeededRng(4, 3)).x
+        for p in _boundary_thresholds(x, 0.003):
+            for threads in (1, 2, 3, 4):
+                _same_graph_and_stream(model, 4, p, threads)
+
+    @pytest.mark.parametrize("rates", [2.0, np.random.default_rng(8).uniform(0.5, 3.0, 319_600)])
+    def test_split_draw_exponential(self, rates):
+        model = DensityModel.product_exponential(rates, EdgeSpace(800))
+        x = model.sample(SeededRng(5, 3)).x
+        for p in _boundary_thresholds(x, 0.005):
+            for threads in (1, 2):
+                _same_graph_and_stream(model, 5, p, threads)
+
+    def test_ball_is_the_dense_graph(self):
+        _same_graph_and_stream(DensityModel.orthant_ball(1.5, EdgeSpace(40)), 6, 0.01)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        family=st.sampled_from(["ones", "const:0.5", "iid", "exponential", "exponential-iid"]),
+        L=st.sampled_from([None, 7.5, 1e-290, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+        pick=st.sampled_from(["zero", "coordinate", "subnormal", "tiny"]),
+        rank=st.floats(0.0, 1.0),
+    )
+    def test_property_equals_dense(self, n, family, L, seed, pick, rank):
+        space = EdgeSpace(n)
+        N = space.num_edges
+        coefficients = np.random.default_rng(seed).uniform(0.5, 2.0, N)
+        if family.startswith("exponential"):
+            model = DensityModel.product_exponential(coefficients if family.endswith("iid") else 2.0, space)
+            scale = 1.0
+        else:
+            alpha = {"ones": 1.0, "const:0.5": 0.5, "iid": coefficients}[family]
+            model = DensityModel.from_simplex(SimplexModel(space, alpha, L))
+            scale = model.simplex.L / (N + 1)  # L / S, about
+        x = model.sample(SeededRng(seed, 3)).x
+        if pick == "zero":
+            ps = [0.0]
+        elif pick == "coordinate":
+            ps = _boundary_thresholds(x, rank)
+        elif pick == "subnormal":  # p * S / L below the smallest normal double
+            ps = [scale * 2.0**-1040, sys.float_info.min * rank]
+        else:
+            ps = [5e-324, math.nextafter(float(x.min()), 0.0)]
+        for p in ps:
+            _same_graph_and_stream(model, seed, p)
+
+    @pytest.mark.parametrize("alpha, L, first", [(1e307, 100.0, 1e-7), (1e300, 1e-5, 3e-9), (1.0, 1e-300, 1e-12)])
+    def test_subnormal_weights_compare_every_coordinate(self, alpha, L, first):
+        # x_0 is subnormal, so p * S / L * alpha_max rounds with an absolute error
+        # far above the margin, and a level that skipped its check would miss x_0
+        model = SimplexModel(EdgeSpace(3), alpha, L)
+        x0 = float(sample_simplex(model, FirstValueRng(first)).x[0])
+        assert 0 < x0 < sys.float_info.min
+        for p in (x0, math.nextafter(x0, 0.0), math.nextafter(x0, math.inf)):
+            g = DensityModel.from_simplex(model).threshold_draw(FirstValueRng(first), p)
+            ref = threshold(sample_simplex(model, FirstValueRng(first)), p)
+            assert np.array_equal(g.edge_indices, ref.edge_indices)
+            assert g.edge_count == (1 if p >= x0 else 0)
+
+    @pytest.mark.parametrize("p", [-1.0, math.nan])
+    def test_refuses_a_bad_threshold(self, p):
+        for model in (
+            DensityModel.from_simplex(SimplexModel.uniform(5)),
+            DensityModel.product_exponential(1.0, EdgeSpace(5)),
+            DensityModel.orthant_ball(1.0, EdgeSpace(5)),
+        ):
+            with pytest.raises(ValueError, match="non-negative"):
+                model.threshold_draw(SeededRng(1, 0), p)
+
+    def test_refuses_a_directed_space(self):
+        model = DensityModel.from_simplex(row_symmetric_model(np.ones(5), 5))
+        with pytest.raises(ValueError, match="undirected"):
+            model.threshold_draw(SeededRng(1, 0), 0.5)
+
+
+class TestThresholdDrawRefusals:
+    """The fused draw refuses what the dense sample refuses, with the same error, without forming x."""
+
+    @staticmethod
+    def _both(model: SimplexModel, rng_factory, p: float):
+        return (
+            lambda: DensityModel.from_simplex(model).threshold_draw(rng_factory(), p),
+            lambda: threshold(sample_simplex(model, rng_factory()), p),
+        )
+
+    def test_negative_slack_leaves_the_polytope(self):
+        for draw in self._both(SimplexModel.uniform(3), OverBudgetRng, 0.5):
+            with pytest.raises(FloatingPointError, match="budget polytope"):
+                draw()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_exponential_is_refused(self, value):
+        for draw in self._both(SimplexModel.uniform(3), lambda: FirstValueRng(value), 0.5):
+            # the dense draw divides inf by inf on its way to the budget check
+            with pytest.raises(FloatingPointError, match="budget polytope"), np.errstate(invalid="ignore"):
+                draw()
+
+    def test_negative_coordinate_is_refused(self):
+        for draw in self._both(SimplexModel.uniform(3), lambda: FirstValueRng(-0.5), 0.5):
+            with pytest.raises(ValueError, match="non-negative"):
+                draw()
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, _LARGEST_L / 4, _LARGEST_L])
+    def test_largest_budget_is_finite_and_dense(self, p):
+        fused, dense = self._both(SimplexModel.uniform(3, L=_LARGEST_L), LargestUniformRng, p)
+        g, ref = fused(), dense()
+        assert np.array_equal(g.edge_indices, ref.edge_indices)
+        x = sample_simplex(SimplexModel.uniform(3, L=_LARGEST_L), LargestUniformRng()).x
+        assert np.isfinite(x).all()
+        assert g.edge_count == (3 if p >= x[0] else 0)
 
 
 class TestSeededRng:
