@@ -212,12 +212,15 @@ class TestInPlaceDrawsMatchReference:
             (SimplexModel(EdgeSpace(15), np.random.default_rng(42).uniform(0.2, 3.0, 105), 33.0), 5),
             (SimplexModel.uniform(12), 40),
             (row_symmetric_model(np.random.default_rng(43).uniform(0.5, 2.0, 20), 20), 2),
+            # N+1 = 319,601 >= 2^18: the draw splits on two threads
+            (SimplexModel(EdgeSpace(800), np.random.default_rng(44).uniform(0.5, 2.0, 319_600), 1e5), 1),
+            (SimplexModel.uniform(800), 1),
         ],
         ids=["unit-40", "unit-300", "decomposable", "ones-but-2", "ones-but-half", "L-not-N", "general-count-5",
-             "unit-count-40", "row-symmetric"],
+             "unit-count-40", "row-symmetric", "iid-L-split", "unit-split"],
     )
     def test_simplex_batch(self, model, count):
-        got = sample_simplex_batch(model, SeededRng(17, 3), count)
+        got = sample_simplex_batch(model, SeededRng(17, 3, threads=2), count)
         assert np.array_equal(got, simplex_batch_reference(model, SeededRng(17, 3), count))
 
     @pytest.mark.parametrize("size", [None, 7, (3, 11)])
