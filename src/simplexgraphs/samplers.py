@@ -19,8 +19,8 @@ parallel trials draw from independent streams without state handoff.
 The samplers work in place on the buffer the generator fills: every step
 after the draw is one ufunc with ``out=``, so a draw at n=3000 (4.5e6
 coordinates) touches one 36 MB array instead of one per arithmetic step.
-The float operations and their order are those of the allocating formulas,
-so the output is bit-identical to them.
+The float operations and their order are those of the allocating formulas
+in ``tests/brutes.py``, so the output is bit-identical to them.
 
 A large exponential draw may use more than one thread: ``SeededRng(...,
 threads=k)`` splits it into up to k contiguous slices, each at least
@@ -38,13 +38,14 @@ A thresholded trial never forms X (``DensityModel.threshold_draw``).
 x_e = L * E_e / S / alpha_e (simplex) or E_e / rate_e (exponential) is
 monotone in E_e, so one compare of the raw exponentials with a level a
 hair above p * S / L * alpha_max (or p * rate_max) picks the candidates,
-and x is formed on those alone, with the same ufuncs in the same order.
-IEEE multiply and divide round an element the same way on a subset as on
-the whole array, so the kept set equals ``threshold(sample(rng), p)`` bit
-for bit.  The level is checked on every draw, and is inf (every
-coordinate a candidate) where the check fails.  A split draw takes S and
-the compare on its slices' threads.  The dense ``sample`` stays the
-reference, and is what ``mst``, ``moments``, ``marginals`` and ``atsp`` draw.
+and x is formed on those alone by the dense draw's own weight step.  IEEE
+multiply and divide round an element the same way on a subset as on the
+whole array, so the kept set equals ``threshold(sample(rng), p)`` bit for
+bit.  Both simplex paths pass one exact budget check before any weight is
+formed.  The level is checked on every draw, and is inf (every coordinate
+a candidate) where the check fails.  A split draw takes S and the compare
+on its slices' threads.  ``mst``, ``moments``, ``marginals`` and ``atsp``
+draw the dense ``sample``.
 """
 
 from __future__ import annotations
@@ -222,25 +223,44 @@ def sample_simplex(model: SimplexModel, rng: SeededRng) -> WeightVector:
 
 
 def sample_simplex_batch(model: SimplexModel, rng: SeededRng, count: int) -> np.ndarray:
-    """``count`` uniform draws, one per row; the fast path for experiments.
+    """``count`` uniform draws, one per row: the many-row form of ``sample_simplex``.
 
     The rows are the first N columns of the (count, N+1) exponentials buffer.
     """
     N = model.space.num_edges
     e = rng.exponential((count, N + 1))
     S = e.sum(axis=1, keepdims=True)
-    # x = L * e / S / alpha on the first N columns of e, in that order
-    x = e[:, :N]
+    _check_budget(S, e[:, N])
+    return _simplex_weights(model, e[:, :N], S, slice(None))
+
+
+def _simplex_weights(model: SimplexModel, x: np.ndarray, S, cols) -> np.ndarray:
+    """x = L * x / S / alpha[cols] in place, in that order: the weight step of every simplex draw.
+
+    ``x`` holds the exponentials of coordinates ``cols``: every one in the
+    dense draw, the candidates in ``DensityModel.threshold_draw``.
+    """
     np.multiply(x, model.L, out=x)
     np.divide(x, S, out=x)
     if not model.unit_alpha:  # x / 1.0 == x
-        np.divide(x, model.alpha, out=x)
-    # einsum stays on one thread; a BLAS matrix-vector product here spins
-    # idle threads that compete with the other trial workers.
-    budget = np.einsum("ij,j->i", x, model.alpha)
-    if not budget.max() <= model.L * (1 + 1e-12):
-        raise FloatingPointError(f"simplex draw left the budget polytope: {budget.max()!r} > L={model.L!r}")
+        np.divide(x, model.alpha[cols], out=x)
     return x
+
+
+def _check_budget(S, slack) -> None:
+    """Refuse a simplex draw outside the budget polytope, before any weight is formed.
+
+    ``S`` holds each row's sum of its N+1 exponentials and ``slack`` its last
+    one, E_N.  With every E >= 0 the budget sum_e alpha_e x_e = L (S - E_N) / S
+    is at most L exactly when E_N >= 0, so the check is exact, not toleranced:
+    0 < S < inf and E_N >= 0 on every row, else FloatingPointError naming
+    the first row that fails.
+    """
+    S, slack = np.ravel(S), np.ravel(slack)
+    ok = (0 < S) & (S < math.inf) & (slack >= 0)
+    if not ok.all():
+        i = np.argmin(ok)  # the first False
+        raise FloatingPointError(f"simplex draw left the budget polytope: S={float(S[i])!r}, slack={float(slack[i])!r}")
 
 
 # The candidate level's relative margin over p * S / L * alpha_max; see
@@ -288,54 +308,6 @@ def _candidates(e: np.ndarray, starts: list[int], stop: int, level: float) -> np
 
     _map_slices(e, starts, below)
     return np.flatnonzero(mask)
-
-
-def _kept(cand: np.ndarray, xc: np.ndarray, p: float) -> np.ndarray:
-    """The candidates whose weight ``xc`` is at most p; a negative or NaN weight is refused."""
-    if xc.size and not xc.min() >= 0:  # min propagates NaN
-        raise ValueError("weights must be non-negative numbers")
-    inside = xc <= p
-    return cand if inside.all() else cand[inside]
-
-
-def threshold_simplex(model: SimplexModel, rng: SeededRng, p: float) -> ThresholdGraph:
-    """``threshold(sample_simplex(model, rng), p)`` without forming the weight vector.
-
-    It draws the same N+1 exponentials, with their sum S, and forms
-    x_e = L * E_e / S / alpha_e only for the candidates E_e <= ``level``,
-    a bound on p * S * alpha_e / L (``_candidate_level``).  Each ufunc rounds
-    an element the same way on a subset as on the whole array, so the kept
-    set is the dense one bit for bit.  A split draw sums and compares each
-    slice on its own thread.
-
-    With no vector to sum, the budget check becomes: 0 < S < inf (else
-    FloatingPointError), the slack E_N >= 0 (with every E >= 0, the budget
-    sum_e alpha_e x_e = L (S - E_N) / S is at most L exactly when E_N >= 0;
-    else FloatingPointError), and every candidate weight >= 0 (a negative
-    or NaN one is the ValueError ``WeightVector`` raises).
-    """
-    check_threshold(model.space, p)
-    N, L = model.space.num_edges, model.L
-    e, starts, sums = rng.exponential_parts(N + 1, np.sum)
-    S = float(_tree_sum(sums))
-    if not 0 < S < math.inf:
-        raise FloatingPointError(f"simplex draw left the budget polytope: its exponentials sum to {S!r}")
-    if not e[N] >= 0:
-        raise FloatingPointError(f"simplex draw left the budget polytope: its slack exponential is {e[N]!r}")
-    alpha_max = model.alpha_max
-    level = _candidate_level(p * S / L * alpha_max, lambda E: E * L / S / alpha_max, p)
-    cand = _candidates(e, starts, N, level)
-    # x = L * e / S / alpha on the candidates, in the dense sampler's order
-    xc = e[cand]
-    np.multiply(xc, L, out=xc)
-    np.divide(xc, S, out=xc)
-    if not model.unit_alpha:
-        np.divide(xc, model.alpha[cand], out=xc)
-    kept = _kept(cand, xc, p)
-    # drop the weights before the graph allocates its endpoints, so the peak
-    # holds only the draw and the kept indices, as the dense path's does
-    del xc, cand
-    return ThresholdGraph(model.space.n, kept)
 
 
 _MAX_RADIUS = sys.float_info.max / 2.0**64
@@ -424,23 +396,42 @@ class DensityModel:
     def threshold_draw(self, rng: SeededRng, p: float) -> ThresholdGraph:
         """``threshold(self.sample(rng), p)``: the same graph bit for bit, and the same stream left behind.
 
-        The simplex and exponential families never form the weight vector:
-        they compare the raw exponentials with a level and form weights only
-        on the candidates below it (``threshold_simplex``).  An exponential
-        coordinate is E_e / rate_e, so its candidates are
-        E_e <= p * rate_max * (1 + δ).  The ball thresholds its dense sample.
+        The simplex and exponential families draw what ``sample`` draws, take
+        the family's level (``_candidate_level``) and form weights, with the
+        family's weight step ``_weights``, only on the candidates below it; a
+        negative or NaN one is the ValueError ``WeightVector`` raises.  The
+        ball thresholds its dense sample.
         """
-        if self.kind == "simplex":
-            return threshold_simplex(self.simplex, rng, p)
         if self.kind == "ball":
             return threshold(self.sample(rng), p)
         check_threshold(self.space, p)
         N = self.space.num_edges
-        e, starts, _ = rng.exponential_parts(N)
-        rate_max = self._rate_max
-        cand = _candidates(e, starts, N, _candidate_level(p * rate_max, lambda E: E / rate_max, p))
-        xc = e[cand]
-        return ThresholdGraph(self.space.n, _kept(cand, np.divide(xc, self.rates[cand], out=xc), p))
+        if self.kind == "simplex":
+            L, alpha_max = self.simplex.L, self.simplex.alpha_max
+            e, starts, sums = rng.exponential_parts(N + 1, np.sum)
+            S = float(_tree_sum(sums))
+            _check_budget(S, e[N])
+            level = _candidate_level(p * S / L * alpha_max, lambda E: E * L / S / alpha_max, p)
+        else:
+            rate_max, S = self._rate_max, None
+            e, starts, _ = rng.exponential_parts(N)
+            level = _candidate_level(p * rate_max, lambda E: E / rate_max, p)
+        cand = _candidates(e, starts, N, level)
+        xc = self._weights(e[cand], S, cand)
+        if xc.size and not xc.min() >= 0:  # min propagates NaN
+            raise ValueError("weights must be non-negative numbers")
+        inside = xc <= p
+        kept = cand if inside.all() else cand[inside]
+        # drop the weights before the graph allocates its endpoints, so the peak
+        # holds only the draw and the kept indices, as the dense path's does
+        del xc, cand, inside
+        return ThresholdGraph(self.space.n, kept)
+
+    def _weights(self, x: np.ndarray, S: float | None, cols) -> np.ndarray:
+        """The weights of coordinates ``cols`` from their exponentials ``x``, in place: the family's one weight step."""
+        if self.kind == "simplex":
+            return _simplex_weights(self.simplex, x, S, cols)
+        return np.divide(x, self.rates[cols], out=x)
 
     @cached_property
     def _rate_max(self) -> float:
@@ -451,8 +442,7 @@ class DensityModel:
             return sample_simplex(self.simplex, rng)
         N = self.space.num_edges
         if self.kind == "exponential":
-            e = rng.exponential(N)
-            return WeightVector(self.space, np.divide(e, self.rates, out=e))
+            return WeightVector(self.space, self._weights(rng.exponential(N), None, slice(None)))
         g = rng.standard_normal(N)
         u = float(rng.uniform())
         scale = self.radius * u ** (1.0 / N) / np.linalg.norm(g)

@@ -30,7 +30,7 @@ from simplexgraphs import (
 )
 from simplexgraphs.atsp import row_symmetric_model
 from simplexgraphs.oracle import check_basic_bounds, sigma_simplex
-from simplexgraphs.model import MAX_UNIT_EXPONENTIAL
+from simplexgraphs.model import MAX_UNIT_EXPONENTIAL, ThresholdGraph
 from simplexgraphs.samplers import _MIN_SLICE, _tree_starts, _tree_sum
 
 KS_LIMIT = 0.0062  # 1e5-sample critical value used throughout
@@ -61,6 +61,31 @@ class OverBudgetRng(_OneThreadFake):
     def exponential(self, size):
         e = np.ones(size)
         e[..., -1] = -1.5
+        return e
+
+
+class TinyNegativeSlackRng(_OneThreadFake):
+    # unit exponentials but the slack, -1e-14 times the others' sum: the formed
+    # budget exceeds L by about 1e-14 relative, inside a 1e-12 tolerance
+    def exponential(self, size):
+        e = np.ones(size)
+        e[..., -1] = -1e-14 * (e.shape[-1] - 1)
+        return e
+
+
+class ThirdRowOverBudgetRng(_OneThreadFake):
+    """Rows of unit exponentials served in order, one per draw or several per batch; the third row's slack is -1.5."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = 0
+
+    def exponential(self, size):
+        e = np.ones(size)
+        rows = e.reshape(-1, e.shape[-1])
+        if 0 <= 2 - self.rows < len(rows):
+            rows[2 - self.rows, -1] = -1.5
+        self.rows += len(rows)
         return e
 
 
@@ -375,14 +400,15 @@ class TestTreeSum:
             assert np.float64(_tree_sum(parts)).view(np.uint64) == whole.view(np.uint64), c
 
 
-def _same_graph_and_stream(model: DensityModel, seed: int, p: float, threads: int = 1) -> None:
-    """``model.threshold_draw`` equals ``threshold(model.sample(...), p)`` and leaves the same stream."""
+def _same_graph_and_stream(model: DensityModel, seed: int, p: float, threads: int = 1) -> ThresholdGraph:
+    """The graph of ``model.threshold_draw``, checked to equal the dense one and to leave the same stream."""
     fused, dense = SeededRng(seed, 3, threads=threads), SeededRng(seed, 3, threads=threads)
     g = model.threshold_draw(fused, p)
     ref = threshold(model.sample(dense), p)
     assert g.n == ref.n
     assert np.array_equal(g.edge_indices, ref.edge_indices), (seed, p, threads)
     assert np.array_equal(fused.uniform(4), dense.uniform(4))
+    return g
 
 
 def _boundary_thresholds(x: np.ndarray, rank: float) -> list[float]:
@@ -404,6 +430,8 @@ class TestThresholdDraw:
         for p in _boundary_thresholds(x, 0.003):
             for threads in (1, 2, 3, 4):
                 _same_graph_and_stream(model, 4, p, threads)
+        # the level overflows to inf: every coordinate is a candidate
+        assert _same_graph_and_stream(model, 4, math.inf, 2).edge_count == space.num_edges
 
     @pytest.mark.parametrize("rates", [2.0, np.random.default_rng(8).uniform(0.5, 3.0, 319_600)])
     def test_split_draw_exponential(self, rates):
@@ -412,6 +440,7 @@ class TestThresholdDraw:
         for p in _boundary_thresholds(x, 0.005):
             for threads in (1, 2):
                 _same_graph_and_stream(model, 5, p, threads)
+        assert _same_graph_and_stream(model, 5, math.inf, 2).edge_count == x.size
 
     def test_ball_is_the_dense_graph(self):
         _same_graph_and_stream(DensityModel.orthant_ball(1.5, EdgeSpace(40)), 6, 0.01)
@@ -492,11 +521,35 @@ class TestThresholdDrawRefusals:
             with pytest.raises(FloatingPointError, match="budget polytope"):
                 draw()
 
+    def test_negative_slack_inside_a_tolerance_is_refused(self):
+        # the check is exact: a budget formed from this draw is within L (1 + 1e-12)
+        e = TinyNegativeSlackRng().exponential((1, 4))
+        assert 3.0 < 3.0 * e[0, :3].sum() / e.sum() <= 3.0 * (1 + 1e-12)
+        for draw in self._both(SimplexModel.uniform(3), TinyNegativeSlackRng, 0.5):
+            with pytest.raises(FloatingPointError, match="budget polytope"):
+                draw()
+
+    def test_each_row_is_checked(self):
+        model = SimplexModel.uniform(3)
+        assert (sample_simplex_batch(model, ThirdRowOverBudgetRng(), 2) == 0.75).all()
+        with pytest.raises(FloatingPointError, match=r"budget polytope: S=1\.5, slack=-1\.5$"):
+            sample_simplex_batch(model, ThirdRowOverBudgetRng(), 3)
+        dense, fused = ThirdRowOverBudgetRng(), ThirdRowOverBudgetRng()
+        one_row_draws = (
+            lambda: sample_simplex(model, dense),
+            lambda: DensityModel.from_simplex(model).threshold_draw(fused, 1.0),
+        )
+        for draw in one_row_draws:
+            draw()
+            draw()
+            with pytest.raises(FloatingPointError, match=r"budget polytope: S=1\.5, slack=-1\.5$"):
+                draw()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_exponential_is_refused(self, value):
         for draw in self._both(SimplexModel.uniform(3), lambda: FirstValueRng(value), 0.5):
-            # the dense draw divides inf by inf on its way to the budget check
-            with pytest.raises(FloatingPointError, match="budget polytope"), np.errstate(invalid="ignore"):
+            # both paths refuse the sum before forming a weight, so no inf / inf is taken
+            with pytest.raises(FloatingPointError, match="budget polytope"), np.errstate(all="raise"):
                 draw()
 
     def test_negative_coordinate_is_refused(self):
