@@ -16,11 +16,10 @@ Rejection-free, O(N), and trivially seedable.
 Exponential variates come from the inverse CDF -log1p(-U) on numpy's
 PCG64DXSM generator, keyed per trial by ``SeedSequence([seed, stream])``, so
 parallel trials draw from independent streams without state handoff.
-The samplers work in place on the buffer the generator fills: every step
-after the draw is one ufunc with ``out=``, so a draw at n=3000 (4.5e6
-coordinates) touches one 36 MB array instead of one per arithmetic step.
-The float operations and their order are those of the allocating formulas
-in ``tests/brutes.py``, so the output is bit-identical to them.
+The dense samplers work in place on the buffer the generator fills: every
+step after the draw is one ufunc with ``out=``.  The float operations and
+their order are those of the allocating formulas in ``tests/brutes.py``, so
+the output is bit-identical to them.
 
 A large exponential draw may use more than one thread: ``SeededRng(...,
 threads=k)`` splits it into up to k contiguous slices, each at least
@@ -31,21 +30,26 @@ default k is the CPU count, so a draw outside a sweep (the CLI ``sample``
 command, a library call) uses as many threads as a one-worker sweep; the
 sweep harness passes ``cpu_count // workers`` (at least 1).  The threads
 start and end inside the draw.  The slices sit on numpy's pairwise-sum
-tree (2 slices, or 4 from 4 threads up), so sums of the slices, taken on
-their threads, add up to the whole sum bit for bit.
+tree (2 slices, or 4 from 4 threads up).
 
-A thresholded trial never forms X (``DensityModel.threshold_draw``).
+A thresholded trial never holds the N+1 exponentials, let alone X
+(``DensityModel.threshold_draw``).  It streams the draw
+(``SeededRng.exponential_leaves``): each slice's thread draws leaves of at
+most ``_LEAF`` values into one buffer row it reuses, sums each leaf, and
+keeps the (index, E) pairs at or below a level.  The leaves are nodes of
+numpy's pairwise-sum tree, so their sums add along it to S bit for bit.
 x_e = L * E_e / S / alpha_e (simplex) or E_e / rate_e (exponential) is
-monotone in E_e, so one compare of the raw exponentials with a level a
-hair above p * S / L * alpha_max (or p * rate_max) picks the candidates,
-and x is formed on those alone by the dense draw's own weight step.  IEEE
-multiply and divide round an element the same way on a subset as on the
-whole array, so the kept set equals ``threshold(sample(rng), p)`` bit for
-bit.  Both simplex paths pass one exact budget check before any weight is
-formed.  The level is checked on every draw, and is inf (every coordinate
-a candidate) where the check fails.  A split draw takes S and the compare
-on its slices' threads.  ``mst``, ``moments``, ``marginals`` and ``atsp``
-draw the dense ``sample``.
+monotone in E_e, so a level a hair above p * S / L * alpha_max (or
+p * rate_max) keeps every coordinate of the graph, and x is formed on the
+kept pairs alone by the dense draw's own weight step.  IEEE multiply and
+divide round an element the same way on a subset as on the whole array,
+so the graph equals ``threshold(sample(rng), p)`` bit for bit.  The level
+is checked on every draw; the simplex level needs S, so the threads keep
+the pairs below the level at a bound S_hi that S exceeds with odds under
+1e-27.  Where a check fails, or S > S_hi, the trial is the dense draw
+from the same stream.  Both simplex paths pass one exact budget check
+before any weight is formed.  ``mst``, ``moments``, ``marginals`` and
+``atsp`` draw the dense ``sample``.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache, partial
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; imported here, forked pool workers inherit it
@@ -74,10 +78,17 @@ from .model import (
     threshold,
 )
 
+_T = TypeVar("_T")
 
 # A draw is split across threads only when every slice gets at least this many
 # values; a smaller slice gains little over the cost of starting its thread.
 _MIN_SLICE = 1 << 17
+
+# A streamed draw (``SeededRng.exponential_leaves``) holds at most this many
+# values at a time on each thread.  Its leaves, cut on numpy's pairwise-sum
+# tree, hold more than half of it: 384-768 KB, which stays in a core's L2
+# cache through the fill, the transform, the sum and the compare.
+_LEAF = 3 << 15
 
 
 class SeededRng:
@@ -86,7 +97,7 @@ class SeededRng:
     Both keys are taken mod 2^64.  Identical (seed, stream) pairs reproduce
     identical draw sequences; distinct streams under one seed are
     statistically independent.  ``threads`` caps how many threads one large
-    ``exponential`` draw may use (default: the CPU count); any value gives
+    exponential draw may use (default: the CPU count); any value gives
     the same numbers.
     """
 
@@ -101,42 +112,56 @@ class SeededRng:
         return self._gen.random(size)
 
     def exponential(self, size=None):
-        """Unit exponentials -log1p(-U), computed in place on the fresh uniforms."""
-        if size is not None and (split := self._split_exponential(size)) is not None:
-            return split[0]
-        e = np.asarray(self._gen.random(size))
-        _neg_log1p_neg(e)
-        return e if size is not None else e[()]  # one draw: a scalar, not a 0-d array
+        """Unit exponentials -log1p(-U), computed in place on the fresh uniforms, a large draw on its slices' threads."""
+        if size is None:  # one draw: a scalar, not a 0-d array
+            return _neg_log1p_neg(np.asarray(self._gen.random()))[()]
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        slices = self._slice_generators(flat.size)
+        _on_threads([partial(_draw, gen, flat[a:b]) for a, b, gen in slices])
+        return out
 
-    def exponential_parts(self, count: int, each=None) -> tuple[np.ndarray, list[int], list]:
-        """``exponential(count)``, the starts of the slices it was drawn on, and ``each(slice)`` of every slice.
+    def exponential_leaves(self, count: int, work: Callable[[np.ndarray, int], _T]) -> list[_T]:
+        """``[work(leaf, start)]`` over the ``_tree_leaves`` of ``exponential(count)``, in order, never holding the draw.
 
-        A split draw calls ``each`` on each slice's own thread, right after
-        the slice is drawn; one slice (start 0) is the whole draw.  With
-        ``each=np.sum`` the parts add along ``_tree_sum`` to ``e.sum()`` bit
-        for bit.
+        Each slice's thread draws its leaves one after another into one
+        buffer row of at most ``_LEAF`` values, and calls ``work`` on each
+        right after it is drawn; ``leaf`` is overwritten by the next, so
+        ``work`` copies what it keeps.  The numbers and the stream left
+        behind are those of ``exponential(count)``.  A draw of one leaf is
+        ``exponential(count)`` itself.
         """
-        split = self._split_exponential(count, each)
-        if split is not None:
-            return split
-        e = self.exponential(count)
-        return e, [0], [each(e) if each is not None else None]
+        leaves = _tree_leaves(0, count)
+        if len(leaves) == 1:
+            return [work(self.exponential(count), 0)]
+        slices = self._slice_generators(count)
+        buf = np.empty((len(slices), max(b - a for a, b in leaves)))  # one row per thread, allocated here
 
-    def _split_exponential(self, size, each=None) -> tuple[np.ndarray, list[int], list] | None:
-        """The draw of ``exponential(size)`` in contiguous slices on up to ``threads`` threads.
+        def run(a: int, b: int, gen: np.random.Generator, row: np.ndarray) -> list[_T]:
+            done = []
+            for c, d in _tree_leaves(a, b):
+                leaf = row[: d - c]
+                _draw(gen, leaf)
+                done.append(work(leaf, c))
+            return done
 
-        Each double takes one PCG64DXSM output and ``advance(a)`` skips
-        exactly a outputs, so the slice that starts at value a is drawn by a
-        copy of the generator advanced by a.  The generator itself draws the
-        last slice, so its state afterwards is the one the one-thread draw
-        leaves.  The slices are those of ``_tree_starts`` on the flat draw.
-        None (draw on one thread) when the draw is too small to give two
-        slices of ``_MIN_SLICE``.
+        parts = _on_threads([partial(run, *piece, row) for piece, row in zip(slices, buf)])
+        return [r for part in parts for r in part]
+
+    def _slice_generators(self, count: int) -> list[tuple[int, int, np.random.Generator]]:
+        """The contiguous slices ``(start, stop, generator)`` a draw of ``count`` values is cut into, one per thread.
+
+        The slices are those of ``_tree_starts``, or one slice when the draw
+        is too small to give two of ``_MIN_SLICE``.  Each double takes one
+        PCG64DXSM output and ``advance(a)`` skips exactly a outputs, so the
+        slice that starts at value a is drawn by a copy of the generator
+        advanced by a.  The generator itself draws the last slice, and is
+        moved to its start here, so its state after the draw is the one the
+        one-thread draw leaves.
         """
-        count = math.prod(np.atleast_1d(size).tolist())
         starts = _tree_starts(count, min(self.threads, count // _MIN_SLICE))
         if starts is None:
-            return None
+            return [(0, count, self._gen)]
         bitgen = self._gen.bit_generator
         state = bitgen.state
 
@@ -149,72 +174,86 @@ class SeededRng:
             copy.state = {**copy.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
             return copy
 
-        gens = {a: np.random.Generator(at(a)) for a in starts[:-1]}
+        gens = [np.random.Generator(at(a)) for a in starts[:-1]]
         bitgen.state = at(starts[-1]).state
-        gens[starts[-1]] = self._gen
-
-        def fill(chunk: np.ndarray, start: int):
-            gens[start].random(out=chunk)
-            _neg_log1p_neg(chunk)
-            return each(chunk) if each is not None else None
-
-        out = np.empty(size)
-        return out, starts, _map_slices(out.reshape(-1), starts, fill)
+        return [(a, b, gen) for a, b, gen in zip(starts, [*starts[1:], count], [*gens, self._gen])]
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
+
+
+def _tree_root(c: int) -> int:
+    """Where numpy's pairwise sum cuts c > 128 contiguous doubles: the first half holds ``c//2 - (c//2) % 8``."""
+    return c // 2 - (c // 2) % 8
 
 
 def _tree_starts(count: int, slices: int) -> list[int] | None:
     """Where a draw of ``count`` values is cut for ``slices`` threads: on numpy's pairwise-sum tree.
 
     numpy sums c > 128 contiguous doubles as the sum of the first
-    ``c//2 - (c//2) % 8`` values plus the sum of the rest, each half summed
-    the same way.  So 2 slices cut where the tree's root cuts, and 4 slices
-    (from 4 threads up) cut each half again where the tree does; the slice
-    sums then add along the tree (``_tree_sum``) to the whole sum bit for
-    bit.  None for fewer than 2 slices.  Every slice holds at least
-    ``count // slices`` rounded down to a multiple of 8 values.
+    ``_tree_root(c)`` values plus the sum of the rest, each part summed the
+    same way.  So 2 slices cut where the tree's root cuts, and 4 slices
+    (from 4 threads up) cut each half again where the tree does: every
+    slice is a node of the tree.  None for fewer than 2 slices.  Every slice
+    holds at least ``count // slices`` rounded down to a multiple of 8 values.
     """
-
-    def root(c: int) -> int:
-        return c // 2 - (c // 2) % 8
-
     if slices < 2:
         return None
-    mid = root(count)
+    mid = _tree_root(count)
     if slices < 4:
         return [0, mid]
-    return [0, root(mid), mid, mid + root(count - mid)]
+    return [0, _tree_root(mid), mid, mid + _tree_root(count - mid)]
 
 
-def _tree_sum(parts: list) -> float:
-    """The sums of a draw's ``_tree_starts`` slices, added along the tree: ``e.sum()`` bit for bit."""
-    while len(parts) > 1:
-        parts = [a + b for a, b in zip(parts[::2], parts[1::2])]
-    return parts[0]
+def _tree_leaves(a: int, b: int, leaf: int = _LEAF) -> list[tuple[int, int]]:
+    """The nodes of numpy's pairwise-sum tree over the node [a, b) that hold at most ``leaf`` values, in order.
 
-
-def _map_slices(flat: np.ndarray, starts: list[int], work) -> list:
-    """``[work(flat[a:b], a)]`` for each slice of ``flat`` that starts at an entry of ``starts``, in order.
-
-    Each slice runs on its own thread, the last on the calling thread.  The
-    helper threads start and end inside this call: none outlives it.
+    ``leaf`` is at least 128, so that a node the tree does not cut is not
+    cut here either.
     """
-    bounds = list(zip(starts, [*starts[1:], flat.size]))
-    if len(bounds) == 1:
-        return [work(flat, 0)]
-    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
-        helpers = [pool.submit(work, flat[a:b], a) for a, b in bounds[:-1]]
-        last = work(flat[bounds[-1][0] :], bounds[-1][0])
+    if b - a <= leaf:
+        return [(a, b)]
+    mid = a + _tree_root(b - a)
+    return _tree_leaves(a, mid, leaf) + _tree_leaves(mid, b, leaf)
+
+
+def _tree_sum(parts: list, count: int, leaf: int = _LEAF):
+    """The sums of the ``_tree_leaves(0, count, leaf)``, added along the tree: ``e.sum()`` bit for bit."""
+    sums = iter(parts)
+
+    def fold(c: int):
+        if c <= leaf:
+            return next(sums)
+        mid = _tree_root(c)
+        return fold(mid) + fold(c - mid)
+
+    return fold(count)
+
+
+def _on_threads(tasks: list[Callable[[], _T]]) -> list[_T]:
+    """``[task() for task in tasks]``, each on its own thread but the last, which runs on the calling thread.
+
+    The helper threads start and end inside this call: none outlives it.
+    """
+    if len(tasks) == 1:
+        return [tasks[0]()]
+    with ThreadPoolExecutor(max_workers=len(tasks) - 1) as pool:
+        helpers = [pool.submit(task) for task in tasks[:-1]]
+        last = tasks[-1]()
         return [h.result() for h in helpers] + [last]
 
 
-def _neg_log1p_neg(u: np.ndarray) -> None:
+def _draw(gen: np.random.Generator, out: np.ndarray) -> None:
+    """out <- unit exponentials -log1p(-U) from ``gen``, in place."""
+    gen.random(out=out)
+    _neg_log1p_neg(out)
+
+
+def _neg_log1p_neg(u: np.ndarray) -> np.ndarray:
     """u <- -log1p(-u), in place."""
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    np.negative(u, out=u)
+    return np.negative(u, out=u)
 
 
 def sample_simplex(model: SimplexModel, rng: SeededRng) -> WeightVector:
@@ -268,6 +307,15 @@ def _check_budget(S, slack) -> None:
 _LEVEL_MARGIN = 1e-12
 
 
+def _sum_bound(k: int) -> float:
+    """S_hi for a sum S of k unit exponentials: k + 12 sqrt(k) + 50.
+
+    S ~ Gamma(k, 1) exceeds it with odds below 5e-28 (k = 1), and below
+    2e-33 from k = 100 up.
+    """
+    return k + 12.0 * math.sqrt(k) + 50.0
+
+
 def _candidate_level(level: float, weight: Callable[[float], float], p: float) -> float:
     """``level`` raised by ``_LEVEL_MARGIN``, or inf where that does not verifiably cover p.
 
@@ -282,32 +330,23 @@ def _candidate_level(level: float, weight: Callable[[float], float], p: float) -
     In the normal range δ needs to cover about 7 roundings of relative size
     2^-53: three in the level (``p * S``, ``/ L``, ``* alpha_max``), three in
     the weight, one in ``* (1 + δ)``, so about 8e-16.  ``_LEVEL_MARGIN`` =
-    1e-12 is over 1000 times that, and lets in an expected 1e-12 of the
-    kept coordinates as extra candidates.  Where ``p * S / L`` or the
-    weight near p is subnormal (or p is 0), rounding errors are absolute,
-    not relative, and the check may fail; the level is then inf, every
-    coordinate is a candidate, and the graph is the dense one by
-    construction.  An overflowing level is inf as well.
+    1e-12 is over 1000 times that, and lifts the level past an expected
+    1e-12 times the kept count of coordinates that weigh more than p.
+    Where ``p * S / L`` or the weight near p is subnormal (or p is 0),
+    rounding errors are absolute, not relative, and the check may fail; the
+    level is then inf, and ``DensityModel.threshold_draw`` thresholds the
+    dense sample.  An overflowing level is inf as well.
     """
     level *= 1 + _LEVEL_MARGIN
     return level if weight(math.nextafter(level, math.inf)) > p else math.inf
 
 
-def _candidates(e: np.ndarray, starts: list[int], stop: int, level: float) -> np.ndarray:
-    """``flatnonzero(e[:stop] <= level)``, each of the draw's slices compared on its own thread.
-
-    The slices' threads write one mask, and the calling thread allocates it
-    and reads its indices: an array allocated on a slice's thread stays in
-    that thread's malloc arena after the trial.
-    """
-    mask = np.empty(stop, dtype=bool)
-
-    def below(chunk: np.ndarray, start: int) -> None:
-        part = mask[start:stop]
-        np.less_equal(chunk[: part.size], level, out=part[: chunk.size])
-
-    _map_slices(e, starts, below)
-    return np.flatnonzero(mask)
+def _keep_below(level: float, stop: int, leaf: np.ndarray, start: int) -> tuple:
+    """One leaf's sum, its last value, and the (index, E) pairs of its values with index < ``stop`` and E <= level."""
+    idx = np.flatnonzero(leaf[: stop - start] <= level)
+    e = leaf[idx]
+    idx += start
+    return leaf.sum(), leaf[-1], idx, e
 
 
 _MAX_RADIUS = sys.float_info.max / 2.0**64
@@ -396,11 +435,19 @@ class DensityModel:
     def threshold_draw(self, rng: SeededRng, p: float) -> ThresholdGraph:
         """``threshold(self.sample(rng), p)``: the same graph bit for bit, and the same stream left behind.
 
-        The simplex and exponential families draw what ``sample`` draws, take
-        the family's level (``_candidate_level``) and form weights, with the
-        family's weight step ``_weights``, only on the candidates below it; a
-        negative or NaN one is the ValueError ``WeightVector`` raises.  The
-        ball thresholds its dense sample.
+        The simplex and exponential families stream what ``sample`` draws
+        (``SeededRng.exponential_leaves``) and keep from it only the leaves'
+        sums and the (index, E) pairs at or below a level ``hi`` that covers
+        the family's level (``_candidate_level``).  The exponential family
+        knows its level before it draws.  The simplex level grows with the
+        sum S, which is known only after the draw, so ``hi`` is the level at
+        ``S_hi`` (``_sum_bound``); every rounding step is monotone, so it
+        covers the level whenever S <= S_hi.  Weights are formed, with the
+        family's weight step ``_weights``, only on the pairs at or below the
+        level; a negative or NaN one is the ValueError ``WeightVector``
+        raises.  Where a level is inf, or S > S_hi, the draw is the dense
+        one: the stream is put back where it was and the trial returns
+        ``threshold(self.sample(rng), p)``, as the ball always does.
         """
         if self.kind == "ball":
             return threshold(self.sample(rng), p)
@@ -408,23 +455,37 @@ class DensityModel:
         N = self.space.num_edges
         if self.kind == "simplex":
             L, alpha_max = self.simplex.L, self.simplex.alpha_max
-            e, starts, sums = rng.exponential_parts(N + 1, np.sum)
-            S = float(_tree_sum(sums))
-            _check_budget(S, e[N])
-            level = _candidate_level(p * S / L * alpha_max, lambda E: E * L / S / alpha_max, p)
+            S_hi = _sum_bound(N + 1)
+            hi = _candidate_level(p * S_hi / L * alpha_max, lambda E: E * L / S_hi / alpha_max, p)
         else:
-            rate_max, S = self._rate_max, None
-            e, starts, _ = rng.exponential_parts(N)
-            level = _candidate_level(p * rate_max, lambda E: E / rate_max, p)
-        cand = _candidates(e, starts, N, level)
-        xc = self._weights(e[cand], S, cand)
-        if xc.size and not xc.min() >= 0:  # min propagates NaN
-            raise ValueError("weights must be non-negative numbers")
-        inside = xc <= p
-        kept = cand if inside.all() else cand[inside]
-        # drop the weights before the graph allocates its endpoints, so the peak
-        # holds only the draw and the kept indices, as the dense path's does
-        del xc, cand, inside
+            rate_max = self._rate_max
+            hi = _candidate_level(p * rate_max, lambda E: E / rate_max, p)
+        if hi == math.inf:
+            return threshold(self.sample(rng), p)
+        saved = rng._gen.bit_generator.state
+        leaves = rng.exponential_leaves(N + (self.kind == "simplex"), partial(_keep_below, hi, N))
+        S = None
+        if self.kind == "simplex":
+            S = float(_tree_sum([leaf[0] for leaf in leaves], N + 1))
+            _check_budget(S, leaves[-1][1])
+            level = _candidate_level(p * S / L * alpha_max, lambda E: E * L / S / alpha_max, p)
+            if not S <= S_hi or level == math.inf:
+                rng._gen.bit_generator.state = saved
+                return threshold(self.sample(rng), p)
+        # weights on each leaf's pairs; those above the level weigh more than p, so ``<= p`` drops them
+        inside = []
+        for _, _, idx, e in leaves:
+            x = self._weights(e, S, idx)
+            if x.size and not x.min() >= 0:  # min propagates NaN
+                raise ValueError("weights must be non-negative numbers")
+            inside.append(x <= p)
+        counts = [np.count_nonzero(mask) for mask in inside]
+        kept = np.empty(sum(counts), dtype=np.int64)
+        at = 0
+        for (_, _, idx, _), mask, c in zip(leaves, inside, counts):
+            np.compress(mask, idx, out=kept[at : at + c])
+            at += c
+        del leaves, inside  # before the graph allocates its endpoints
         return ThresholdGraph(self.space.n, kept)
 
     def _weights(self, x: np.ndarray, S: float | None, cols) -> np.ndarray:

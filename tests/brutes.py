@@ -350,7 +350,8 @@ class PhiloxRng(SeededRng):
     The reference generator for the two-sample tests of the law: every frozen
     CSV hash before PCG64DXSM was recorded from these draws.  It draws on one
     thread whatever ``threads`` says, which gave the same numbers; the
-    inherited ``exponential_parts`` then returns its one-slice draw.
+    inherited ``exponential_leaves`` then streams its draw on one thread,
+    from this generator.
     """
 
     def __init__(self, seed, stream=0, threads=1):

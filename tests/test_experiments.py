@@ -24,6 +24,7 @@ from simplexgraphs import (
     run_sweep,
     wilson_interval,
 )
+from simplexgraphs import experiments
 from simplexgraphs.experiments import KINDS, _CONFIG_KEYS, _build_context, _run_trial, _summarize, resolve_dvalues
 
 BASIC = """
@@ -271,6 +272,38 @@ class TestRunSweep:
         a = run_sweep(cfg).csv_text
         b = run_sweep(cfg).csv_text
         assert a == b
+
+
+class TestHeapThresholds:
+    """A sweep pins glibc's heap thresholds for its process; elsewhere it leaves the C library alone."""
+
+    class _Libc:
+        def __init__(self):
+            self.calls = []
+            libc = self
+
+            def mallopt(param, value):
+                libc.calls.append((param, value))
+                return 1
+
+            self.mallopt = mallopt
+
+    def test_a_sweep_pins_both_thresholds(self, monkeypatch):
+        libc = self._Libc()
+        monkeypatch.setattr(experiments.ctypes, "CDLL", lambda name: libc)
+        run_sweep(parse_config(BASIC))
+        # M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 64 MiB
+        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("error", [OSError, AttributeError, TypeError])
+    def test_a_library_without_mallopt_is_left_alone(self, monkeypatch, error):
+        expected = run_sweep(parse_config(BASIC)).csv_text
+
+        def cdll(name):
+            raise error("no mallopt")
+
+        monkeypatch.setattr(experiments.ctypes, "CDLL", cdll)
+        assert run_sweep(parse_config(BASIC)).csv_text == expected
 
 
 class TestConstantAlphaContext:

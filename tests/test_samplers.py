@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +32,8 @@ from simplexgraphs import (
 from simplexgraphs.atsp import row_symmetric_model
 from simplexgraphs.oracle import check_basic_bounds, sigma_simplex
 from simplexgraphs.model import MAX_UNIT_EXPONENTIAL, ThresholdGraph
-from simplexgraphs.samplers import _MIN_SLICE, _tree_starts, _tree_sum
+from simplexgraphs import samplers
+from simplexgraphs.samplers import _LEAF, _MIN_SLICE, _tree_leaves, _tree_starts, _tree_sum
 
 KS_LIMIT = 0.0062  # 1e5-sample critical value used throughout
 
@@ -337,26 +339,20 @@ class TestSplitDraw:
         rng = SeededRng(8, 21) if threads is None else SeededRng(8, 21, threads=threads)
         if prior:
             rng.uniform(prior)
-        assert (rng._split_exponential(size) is not None) == split
+        assert (len(rng._slice_generators(size)) > 1) == split
 
     @pytest.mark.parametrize(
         "count", [_CUTOFF, _CUTOFF + 13, 3 * _MIN_SLICE + 3, 4 * _MIN_SLICE + 5, 4 * _MIN_SLICE + 29]
     )
     def test_threads_give_the_same_sum(self, count):
-        # the slices' sums, added along numpy's pairwise tree, are the whole sum
-        draws = []
+        # the leaves' sums, taken on their slices' threads and added along numpy's pairwise tree, are the whole sum
+        whole = SeededRng(8, 22, threads=1).exponential(count).reshape(1, -1).sum(axis=1)[0]
         for threads in (1, 2, 3, 4):
-            rng = SeededRng(8, 22, threads=threads)
-            e, starts, sums = rng.exponential_parts(count, np.sum)
             four = threads == 4 and count >= 4 * _MIN_SLICE
-            assert len(starts) == len(sums) == (1 if threads == 1 else 4 if four else 2)
-            draws.append((e, _tree_sum(sums), rng.uniform(5)))
-        e1, s1, u1 = draws[0]
-        assert s1 == e1.reshape(1, -1).sum(axis=1)[0]
-        for e, total, u in draws[1:]:
-            assert np.array_equal(e.view(np.uint64), e1.view(np.uint64))
-            assert np.float64(total).view(np.uint64) == np.float64(s1).view(np.uint64)
-            assert np.array_equal(u.view(np.uint64), u1.view(np.uint64))
+            slices = SeededRng(8, 22, threads=threads)._slice_generators(count)
+            assert len(slices) == (1 if threads == 1 else 4 if four else 2)
+            sums = SeededRng(8, 22, threads=threads).exponential_leaves(count, lambda leaf, start: leaf.sum())
+            assert np.float64(_tree_sum(sums, count)).view(np.uint64) == whole.view(np.uint64)
 
     @pytest.mark.parametrize(
         "count, threads, slices",
@@ -370,19 +366,62 @@ class TestSplitDraw:
         ],
     )
     def test_slices_sit_on_the_sum_tree(self, count, threads, slices):
-        _, starts, _ = SeededRng(8, 21, threads=threads).exponential_parts(count)
+        pieces = SeededRng(8, 21, threads=threads)._slice_generators(count)
+        starts = [a for a, _, _ in pieces]
         assert starts == _tree_starts(count, slices)
         assert min(np.diff([*starts, count])) >= _MIN_SLICE
+        # each slice is a node of the tree: its leaves are the draw's leaves
+        assert [leaf for a, b, _ in pieces for leaf in _tree_leaves(a, b)] == _tree_leaves(0, count)
+
+
+# Draw sizes either side of one and two leaves, of the smallest split draw, and of four slices
+_STREAM_COUNTS = [
+    _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 1, 2 * _LEAF, 2 * _LEAF + 1,
+    _CUTOFF - 1, _CUTOFF, _CUTOFF + 1, 4 * _MIN_SLICE - 3, 4 * _MIN_SLICE + 5,
+]
+
+
+class TestStreamedDraw:
+    """``exponential_leaves`` draws what ``exponential`` draws, leaf by leaf, and leaves the same stream behind."""
+
+    @pytest.mark.parametrize("prior", ["fresh", "3-uint32"])
+    @pytest.mark.parametrize("count", _STREAM_COUNTS)
+    def test_leaves_are_the_dense_draw(self, count, prior):
+        dense = SeededRng(9, 4, threads=1)
+        _PRIOR_DRAWS[prior](dense)
+        e = dense.exponential(count)
+        after = dense._gen.integers(2**32, size=3, dtype=np.uint32), dense.uniform(5)
+        for threads in (1, 2, 3, 4):
+            rng = SeededRng(9, 4, threads=threads)
+            _PRIOR_DRAWS[prior](rng)
+            before = threading.active_count()
+            leaves = rng.exponential_leaves(count, lambda leaf, start: (start, leaf.copy(), leaf.sum()))
+            assert threading.active_count() == before
+            starts, parts, sums = zip(*leaves)
+            assert list(zip(starts, [*starts[1:], count])) == _tree_leaves(0, count)
+            assert max(part.size for part in parts) <= _LEAF
+            assert np.array_equal(np.concatenate(parts).view(np.uint64), e.view(np.uint64))
+            assert np.float64(_tree_sum(list(sums), count)).view(np.uint64) == e.sum().view(np.uint64)
+            assert np.array_equal(rng._gen.integers(2**32, size=3, dtype=np.uint32), after[0])
+            assert np.array_equal(rng.uniform(5).view(np.uint64), after[1].view(np.uint64))
+
+    def test_a_leaf_is_overwritten_by_the_next(self):
+        # one buffer row per slice: ``work`` must copy what it keeps
+        rows = SeededRng(9, 4, threads=1).exponential_leaves(3 * _LEAF, lambda leaf, start: leaf)
+        assert len(rows) > 1 and all(np.shares_memory(rows[0], row) for row in rows)
 
 
 class TestTreeSum:
-    """The split draw relies on numpy's pairwise sum.
+    """The streamed and split draws rely on numpy's pairwise sum.
 
     numpy sums c > 128 doubles as the sum of the first c//2 - (c//2) % 8 plus the sum of the rest.
     """
 
-    # odd sizes, sizes with (c // 2) % 8 != 0, and the split draw's sizes
-    SIZES = [*range(520, 560), 777, 1001, 4099, 65_537, 262_145, 262_151, 319_601, 524_295, 1_999_001, 4_498_501]
+    # odd sizes, sizes with (c // 2) % 8 != 0, the split draw's sizes and sizes just past one and two leaves
+    SIZES = [
+        *range(520, 560), 777, 1001, 4099, 65_537, 98_305, 196_609, 262_145, 262_151, 319_601, 524_295, 1_999_001,
+        4_498_501,
+    ]
 
     def test_sizes_cover_every_cut_remainder(self):
         assert {(c // 2) % 8 for c in self.SIZES} == set(range(8))
@@ -394,10 +433,29 @@ class TestTreeSum:
         for c in self.SIZES:
             e = gen.exponential(size=c)
             starts = _tree_starts(c, slices)
+            bounds = list(zip(starts, [*starts[1:], c]))
             assert len(starts) == slices
-            parts = [e[a:b].sum() for a, b in zip(starts, [*starts[1:], c])]
+            # the slices are the leaves of a tree cut no finer than its largest slice
+            largest = max(b - a for a, b in bounds)
+            assert _tree_leaves(0, c, largest) == bounds
+            parts = [e[a:b].sum() for a, b in bounds]
             whole = e.reshape(1, -1).sum(axis=1)[0]
-            assert np.float64(_tree_sum(parts)).view(np.uint64) == whole.view(np.uint64), c
+            assert np.float64(_tree_sum(parts, c, largest)).view(np.uint64) == whole.view(np.uint64), c
+
+    @pytest.mark.parametrize("leaf", [128, 200, 1000, 4096, _LEAF])
+    def test_leaf_sums_fold_to_the_whole_sum(self, leaf):
+        gen = np.random.default_rng(6)
+        for c in self.SIZES:
+            e = gen.exponential(size=c)
+            leaves = _tree_leaves(0, c, leaf)
+            assert leaves[0][0] == 0 and leaves[-1][1] == c
+            assert all(b == a for (_, b), (a, _) in zip(leaves, leaves[1:]))
+            sizes = [b - a for a, b in leaves]
+            assert max(sizes) <= leaf
+            assert c <= leaf or min(sizes) > leaf // 2 - 8  # a leaf holds more than half a leaf's values
+            parts = [e[a:b].sum() for a, b in leaves]
+            whole = e.reshape(1, -1).sum(axis=1)[0]
+            assert np.float64(_tree_sum(parts, c, leaf)).view(np.uint64) == whole.view(np.uint64), (c, leaf)
 
 
 def _same_graph_and_stream(model: DensityModel, seed: int, p: float, threads: int = 1) -> ThresholdGraph:
@@ -441,6 +499,27 @@ class TestThresholdDraw:
             for threads in (1, 2):
                 _same_graph_and_stream(model, 5, p, threads)
         assert _same_graph_and_stream(model, 5, math.inf, 2).edge_count == x.size
+
+    # N + 1 (simplex) or N (exponential) just below and above one leaf, two leaves and the smallest split draw
+    EDGE_SIZES = [443, 444, 627, 628, 724, 725]
+
+    def test_edge_sizes_straddle_the_cuts(self):
+        counts = sorted(n * (n - 1) // 2 + extra for n in self.EDGE_SIZES for extra in (0, 1))
+        for cut in (_LEAF, 2 * _LEAF, _CUTOFF):
+            assert any(cut - 600 < c <= cut for c in counts) and any(cut < c < cut + 700 for c in counts)
+
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_streamed_draw_at_the_cuts(self, n):
+        space = EdgeSpace(n)
+        coefficients = np.random.default_rng(n).uniform(0.5, 2.0, space.num_edges)
+        for model in (
+            DensityModel.from_simplex(SimplexModel(space, coefficients, 3.5 * space.num_edges)),
+            DensityModel.product_exponential(coefficients, space),
+        ):
+            x = model.sample(SeededRng(n, 3)).x
+            for p in _boundary_thresholds(x, 0.01):
+                for threads in (1, 2, 3, 4):
+                    _same_graph_and_stream(model, n, p, threads)
 
     def test_ball_is_the_dense_graph(self):
         _same_graph_and_stream(DensityModel.orthant_ball(1.5, EdgeSpace(40)), 6, 0.01)
@@ -504,6 +583,92 @@ class TestThresholdDraw:
         model = DensityModel.from_simplex(row_symmetric_model(np.ones(5), 5))
         with pytest.raises(ValueError, match="undirected"):
             model.threshold_draw(SeededRng(1, 0), 0.5)
+
+
+class TestThresholdDrawFallback:
+    """Where the streamed draw cannot vouch for its candidates, the trial is the dense one, from the same stream."""
+
+    MODELS = {
+        "one-leaf": lambda: DensityModel.from_simplex(SimplexModel.uniform(30)),
+        "leaves": lambda: DensityModel.from_simplex(SimplexModel.uniform(520, L=900.0)),
+        "split": lambda: DensityModel.from_simplex(
+            SimplexModel(EdgeSpace(800), np.random.default_rng(44).uniform(0.5, 2.0, 319_600), 1e5)
+        ),
+    }
+
+    @staticmethod
+    def _dense_calls(monkeypatch) -> list:
+        calls = []
+        sample = DensityModel.sample
+
+        def counted(self, rng):
+            calls.append(rng)
+            return sample(self, rng)
+
+        monkeypatch.setattr(DensityModel, "sample", counted)
+        return calls
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_sum_above_its_bound_draws_dense(self, monkeypatch, name, threads):
+        model = self.MODELS[name]()
+        x = model.sample(SeededRng(12, 3)).x
+        # S_hi at half the sum's mean: every draw's S exceeds it
+        monkeypatch.setattr(samplers, "_sum_bound", lambda k: 0.5 * k)
+        calls = self._dense_calls(monkeypatch)
+        for p in _boundary_thresholds(x, 0.02):
+            calls.clear()
+            _same_graph_and_stream(model, 12, p, threads)
+            assert len(calls) == 2  # the fallback's and the reference's
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_unchecked_level_draws_dense(self, monkeypatch, threads):
+        # a level that fails its check after the draw: the generator goes back and the dense draw runs
+        model = self.MODELS["split"]()
+        x = model.sample(SeededRng(13, 3)).x
+        level = samplers._candidate_level
+        checked = []
+
+        def second_fails(*args):
+            checked.append(args)
+            return level(*args) if len(checked) == 1 else math.inf
+
+        monkeypatch.setattr(samplers, "_candidate_level", second_fails)
+        calls = self._dense_calls(monkeypatch)
+        p = _boundary_thresholds(x, 0.02)[0]
+        _same_graph_and_stream(model, 13, p, threads)
+        assert len(checked) == 2 and len(calls) == 2
+
+    def test_normal_draw_stays_streamed(self, monkeypatch):
+        calls = self._dense_calls(monkeypatch)
+        model = self.MODELS["split"]()
+        model.threshold_draw(SeededRng(14, 3, threads=2), 0.01)
+        assert calls == []
+
+
+class TestThresholdDrawMemory:
+    """A thresholded trial never holds its N+1 exponentials."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["simplex", "exponential"])
+    def test_peak_is_below_an_eighth_of_the_draw(self, kind, threads):
+        n = 2000
+        space = EdgeSpace(n)
+        N = space.num_edges
+        if kind == "simplex":
+            model = DensityModel.from_simplex(SimplexModel.uniform(n))
+        else:
+            model = DensityModel.product_exponential(1.0, space)
+        p = 2 * math.log(n) / n  # about 15k of the 2M coordinates kept
+        tracemalloc.start()
+        try:
+            g = model.threshold_draw(SeededRng(3, 0, threads=threads), p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 10_000 < g.edge_count < 20_000
+        # the dense draw alone holds 8 (N + 1) bytes
+        assert peak < (N + 1) * 8 / 8, peak
 
 
 class TestThresholdDrawRefusals:
