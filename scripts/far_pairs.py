@@ -7,10 +7,11 @@ re-draws the graphs of that sweep, takes every pairwise distance with
 checks each graph's edge count and diameter against the sweep's record.
 
 The re-draw stays on the dense path on purpose: ``threshold(sample_simplex(...), p)``
-forms every weight, while the sweep's trials use the fused
-``DensityModel.threshold_draw``, which forms weights only below a
-candidate level.  So a re-drawn graph that equals the sweep's record is
-also a sweep-level check that the fused draw equals the dense one.
+forms every weight, while the sweep's trials use the streamed
+``DensityModel.threshold_draw``, which never holds the draw and forms
+weights only below a checked level.  So a re-drawn graph that equals the
+sweep's record is also a sweep-level check that the streamed draw equals
+the dense one.
 
 The reference is the exact expected count of pairs more than 3 apart in
 G(n, q) with independent edges, at the simplex model's edge probability q:

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_far_pairs_redraws_what_the_sweep_drew():
     # the script exits non-zero when a re-drawn graph's edge count or diameter
     # differs from the sweep's record; it re-draws on the dense path and the
-    # sweep on the fused threshold draw, so this also checks that the two agree
+    # sweep on the streamed threshold draw, so this also checks that the two agree
     argv = [sys.executable, str(ROOT / "scripts" / "far_pairs.py"), "--n", "200", "--theta", "0.6", "--trials", "2"]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
