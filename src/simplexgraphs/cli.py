@@ -165,17 +165,19 @@ def _cmd_selftest(args) -> int:
     check("marginal CDF vs sampler", abs(freq - cdf) <= 4 * se, f"freq={freq:.4f} cdf={cdf:.4f}")
 
     # the streamed threshold draw equals thresholding the dense sample bit for bit,
-    # at a drawn coordinate; this checks the rounding argument and, at n=600
-    # (two leaves), the leaf-by-leaf sum on the installed numpy
+    # at a drawn coordinate; this checks the rounding argument and, at n=640
+    # (four leaves), the leaf-by-leaf sum on the installed numpy, on every CPU
+    # and on three threads, which cut the leaves into three runs
     same = []
-    for n_check in (12, 600):
+    for n_check in (12, 640):
         for alpha in ("ones", "uniform:2"):
             fam = build_model(n_check, alpha=alpha, seed=3)
             for seed in range(4):
                 x = fam.sample(SeededRng(seed, 1))
                 p_at = float(np.sort(x.x)[seed * 20 * x.x.size // 66])  # ranks 0, 20, 40, 60 at n=12
-                fused = fam.threshold_draw(SeededRng(seed, 1), p_at)
-                same.append(np.array_equal(fused.edge_indices, threshold(x, p_at).edge_indices))
+                for threads in (None, 3):
+                    fused = fam.threshold_draw(SeededRng(seed, 1, threads), p_at)
+                    same.append(np.array_equal(fused.edge_indices, threshold(x, p_at).edge_indices))
     check("streamed threshold draw equals dense", all(same), f"{sum(same)}/{len(same)} draws")
 
     g = threshold(xs[0], 1e9)

@@ -379,10 +379,6 @@ def _run_trial(ctx: _SweepContext, p_index: int, p: float, trial: int) -> TrialR
     elif kind == "mst":
         outcome = graphs.mst_weight(ctx.model.sample(rng))[0]
         aux = ()
-    elif kind == "moments":
-        x = ctx.model.sample(rng)
-        outcome = float(np.count_nonzero(x.x <= p))
-        aux = ()
     elif kind == "marginals":
         value = float(ctx.model.sample(rng).x[cfg.edge])
         outcome = 1.0 if value <= p else 0.0
@@ -390,7 +386,10 @@ def _run_trial(ctx: _SweepContext, p_index: int, p: float, trial: int) -> TrialR
     else:
         g = ctx.model.threshold_draw(rng, p)
         m = float(g.edge_count)
-        if kind == "connectivity":
+        if kind == "moments":
+            outcome = m
+            aux = ()
+        elif kind == "connectivity":
             summary = graphs.components(g)
             outcome = 1.0 if summary.kappa == 1 else 0.0
             aux = (float(summary.kappa), m)

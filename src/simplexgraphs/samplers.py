@@ -21,35 +21,37 @@ step after the draw is one ufunc with ``out=``.  The float operations and
 their order are those of the allocating formulas in ``tests/brutes.py``, so
 the output is bit-identical to them.
 
-A large exponential draw may use more than one thread: ``SeededRng(...,
-threads=k)`` splits it into up to k contiguous slices, each at least
-``_MIN_SLICE`` values, drawn and transformed on their own threads by
-generator copies advanced to the slice.  The numbers and the stream left
-after the draw equal the one-thread draw's, so no output depends on k.  By
+Every exponential draw is drawn leaf by leaf: the leaves are the nodes of
+numpy's pairwise-sum tree over the draw that hold at most ``_LEAF`` values
+(``_tree_leaves``), so a leaf stays in a core's cache through its fill and
+transform, and the leaves' sums add along the tree to the whole draw's sum
+bit for bit (``_tree_sum``).  A draw may use more than one thread:
+``SeededRng(..., threads=k)`` cuts its leaves into min(k, leaves)
+contiguous runs, each drawn on its own thread by a copy of the generator
+advanced to the run's first value.  The numbers and the stream left after
+the draw equal the one-thread draw's, so no output depends on k.  By
 default k is the CPU count, so a draw outside a sweep (the CLI ``sample``
 command, a library call) uses as many threads as a one-worker sweep; the
 sweep harness passes ``cpu_count // workers`` (at least 1).  The threads
-start and end inside the draw.  The slices sit on numpy's pairwise-sum
-tree (2 slices, or 4 from 4 threads up).
+start and end inside the draw.  The dense draw (``SeededRng.exponential``)
+fills each leaf in place in its output.
 
 A thresholded trial never holds the N+1 exponentials, let alone X
 (``DensityModel.threshold_draw``).  It streams the draw
-(``SeededRng.exponential_leaves``): each slice's thread draws leaves of at
-most ``_LEAF`` values into one buffer row it reuses, sums each leaf, and
-keeps the (index, E) pairs at or below a level.  The leaves are nodes of
-numpy's pairwise-sum tree, so their sums add along it to S bit for bit.
-x_e = L * E_e / S / alpha_e (simplex) or E_e / rate_e (exponential) is
-monotone in E_e, so a level a hair above p * S / L * alpha_max (or
-p * rate_max) keeps every coordinate of the graph, and x is formed on the
-kept pairs alone by the dense draw's own weight step.  IEEE multiply and
-divide round an element the same way on a subset as on the whole array,
-so the graph equals ``threshold(sample(rng), p)`` bit for bit.  The level
-is checked on every draw; the simplex level needs S, so the threads keep
-the pairs below the level at a bound S_hi that S exceeds with odds under
-1e-27.  Where a check fails, or S > S_hi, the trial is the dense draw
-from the same stream.  Both simplex paths pass one exact budget check
-before any weight is formed.  ``mst``, ``moments``, ``marginals`` and
-``atsp`` draw the dense ``sample``.
+(``SeededRng.exponential_leaves``): each run's thread draws its leaves into
+one buffer row it reuses, sums each leaf, and keeps the (index, E) pairs at
+or below a level.  x_e = L * E_e / S / alpha_e (simplex) or E_e / rate_e
+(exponential) is monotone in E_e, so a level a hair above p * S / L *
+alpha_max (or p * rate_max) keeps every coordinate of the graph, and x is
+formed on the kept pairs alone by the dense draw's own weight step.  IEEE
+multiply and divide round an element the same way on a subset as on the
+whole array, so the graph equals ``threshold(sample(rng), p)`` bit for bit.
+The level is checked on every draw; the simplex level needs S, so the
+threads keep the pairs below the level at a bound S_hi that S exceeds with
+odds under 1e-27.  Where a check fails, or S > S_hi, the trial is the dense
+draw from the same stream.  Both simplex paths pass one exact budget check
+before any weight is formed.  Only ``mst``, ``marginals``, ``atsp`` and the
+ball draw the dense ``sample``.
 """
 
 from __future__ import annotations
@@ -80,14 +82,10 @@ from .model import (
 
 _T = TypeVar("_T")
 
-# A draw is split across threads only when every slice gets at least this many
-# values; a smaller slice gains little over the cost of starting its thread.
-_MIN_SLICE = 1 << 17
-
-# A streamed draw (``SeededRng.exponential_leaves``) holds at most this many
-# values at a time on each thread.  Its leaves, cut on numpy's pairwise-sum
-# tree, hold more than half of it: 384-768 KB, which stays in a core's L2
-# cache through the fill, the transform, the sum and the compare.
+# A leaf holds at most this many values, and a streamed draw holds one leaf
+# at a time on each thread.  Leaves, cut on numpy's pairwise-sum tree, hold
+# more than half of it: 384-768 KB, which stays in a core's L2 cache through
+# the fill, the transform, the sum and the compare.
 _LEAF = 3 << 15
 
 
@@ -111,57 +109,70 @@ class SeededRng:
     def uniform(self, size=None):
         return self._gen.random(size)
 
-    def exponential(self, size=None):
-        """Unit exponentials -log1p(-U), computed in place on the fresh uniforms, a large draw on its slices' threads."""
-        if size is None:  # one draw: a scalar, not a 0-d array
-            return _neg_log1p_neg(np.asarray(self._gen.random()))[()]
+    def exponential(self, size) -> np.ndarray:
+        """Unit exponentials -log1p(-U) of shape ``size``, filled in place leaf by leaf, on the threads of its runs."""
         out = np.empty(size)
-        flat = out.reshape(-1)
-        slices = self._slice_generators(flat.size)
-        _on_threads([partial(_draw, gen, flat[a:b]) for a, b, gen in slices])
+        self._draw_leaves(out.size, out.reshape(-1))
         return out
 
     def exponential_leaves(self, count: int, work: Callable[[np.ndarray, int], _T]) -> list[_T]:
         """``[work(leaf, start)]`` over the ``_tree_leaves`` of ``exponential(count)``, in order, never holding the draw.
 
-        Each slice's thread draws its leaves one after another into one
-        buffer row of at most ``_LEAF`` values, and calls ``work`` on each
-        right after it is drawn; ``leaf`` is overwritten by the next, so
-        ``work`` copies what it keeps.  The numbers and the stream left
-        behind are those of ``exponential(count)``.  A draw of one leaf is
-        ``exponential(count)`` itself.
+        Each run's thread draws its leaves one after another into one buffer
+        row the size of the largest leaf, and calls ``work`` on each right
+        after it is drawn; ``leaf`` is overwritten by the next, so ``work``
+        copies what it keeps.  The numbers and the stream left behind are
+        those of ``exponential(count)``.
+        """
+        return self._draw_leaves(count, None, work)
+
+    def _draw_leaves(self, count: int, out: np.ndarray | None, work: Callable | None = None) -> list:
+        """The one leaf loop: the ``_tree_leaves(0, count)``, each run of them on its thread, filled in order.
+
+        A leaf is filled into ``out``, or, where ``out`` is None, into its
+        thread's row and passed to ``work``.
         """
         leaves = _tree_leaves(0, count)
-        if len(leaves) == 1:
-            return [work(self.exponential(count), 0)]
-        slices = self._slice_generators(count)
-        buf = np.empty((len(slices), max(b - a for a, b in leaves)))  # one row per thread, allocated here
+        runs = self._slice_generators(leaves)
+        if out is None:  # one row per thread, allocated here
+            rows = np.empty((len(runs), max(b - a for a, b in leaves)))
 
-        def run(a: int, b: int, gen: np.random.Generator, row: np.ndarray) -> list[_T]:
+        def run(k: int, own: list[tuple[int, int]], gen: np.random.Generator) -> list:
             done = []
-            for c, d in _tree_leaves(a, b):
-                leaf = row[: d - c]
-                _draw(gen, leaf)
-                done.append(work(leaf, c))
+            for a, b in own:
+                leaf = rows[k, : b - a] if out is None else out[a:b]
+                self._fill(gen, leaf, a)
+                if out is None:
+                    done.append(work(leaf, a))
             return done
 
-        parts = _on_threads([partial(run, *piece, row) for piece, row in zip(slices, buf)])
+        parts = _on_threads([partial(run, k, *piece) for k, piece in enumerate(runs)])
         return [r for part in parts for r in part]
 
-    def _slice_generators(self, count: int) -> list[tuple[int, int, np.random.Generator]]:
-        """The contiguous slices ``(start, stop, generator)`` a draw of ``count`` values is cut into, one per thread.
+    def _fill(self, gen: np.random.Generator, leaf: np.ndarray, start: int) -> None:
+        """leaf <- unit exponentials -log1p(-U) from ``gen``, in place: the draw's values from index ``start`` on.
 
-        The slices are those of ``_tree_starts``, or one slice when the draw
-        is too small to give two of ``_MIN_SLICE``.  Each double takes one
-        PCG64DXSM output and ``advance(a)`` skips exactly a outputs, so the
-        slice that starts at value a is drawn by a copy of the generator
-        advanced by a.  The generator itself draws the last slice, and is
-        moved to its start here, so its state after the draw is the one the
-        one-thread draw leaves.
+        Every exponential a draw returns is made here, so a test can
+        override it to serve chosen values.
         """
-        starts = _tree_starts(count, min(self.threads, count // _MIN_SLICE))
-        if starts is None:
-            return [(0, count, self._gen)]
+        gen.random(out=leaf)
+        np.negative(leaf, out=leaf)
+        np.log1p(leaf, out=leaf)
+        np.negative(leaf, out=leaf)
+
+    def _slice_generators(self, leaves: list[tuple[int, int]]) -> list[tuple[list, np.random.Generator]]:
+        """The draw's ``leaves`` cut into min(threads, leaves) contiguous runs ``(leaves, generator)``, one per thread.
+
+        Each double takes one PCG64DXSM output and ``advance(a)`` skips
+        exactly a outputs, so the run that starts at value a is drawn by a
+        copy of the generator advanced by a.  The generator itself draws the
+        last run, and is moved to its start here, so its state after the
+        draw is the one the one-thread draw leaves.
+        """
+        k = min(self.threads, len(leaves))
+        if k <= 1:
+            return [(leaves, self._gen)]
+        runs = [leaves[i * len(leaves) // k : (i + 1) * len(leaves) // k] for i in range(k)]
         bitgen = self._gen.bit_generator
         state = bitgen.state
 
@@ -174,9 +185,9 @@ class SeededRng:
             copy.state = {**copy.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
             return copy
 
-        gens = [np.random.Generator(at(a)) for a in starts[:-1]]
-        bitgen.state = at(starts[-1]).state
-        return [(a, b, gen) for a, b, gen in zip(starts, [*starts[1:], count], [*gens, self._gen])]
+        gens = [np.random.Generator(at(own[0][0])) for own in runs[:-1]]
+        bitgen.state = at(runs[-1][0][0]).state
+        return list(zip(runs, [*gens, self._gen]))
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
@@ -185,24 +196,6 @@ class SeededRng:
 def _tree_root(c: int) -> int:
     """Where numpy's pairwise sum cuts c > 128 contiguous doubles: the first half holds ``c//2 - (c//2) % 8``."""
     return c // 2 - (c // 2) % 8
-
-
-def _tree_starts(count: int, slices: int) -> list[int] | None:
-    """Where a draw of ``count`` values is cut for ``slices`` threads: on numpy's pairwise-sum tree.
-
-    numpy sums c > 128 contiguous doubles as the sum of the first
-    ``_tree_root(c)`` values plus the sum of the rest, each part summed the
-    same way.  So 2 slices cut where the tree's root cuts, and 4 slices
-    (from 4 threads up) cut each half again where the tree does: every
-    slice is a node of the tree.  None for fewer than 2 slices.  Every slice
-    holds at least ``count // slices`` rounded down to a multiple of 8 values.
-    """
-    if slices < 2:
-        return None
-    mid = _tree_root(count)
-    if slices < 4:
-        return [0, mid]
-    return [0, _tree_root(mid), mid, mid + _tree_root(count - mid)]
 
 
 def _tree_leaves(a: int, b: int, leaf: int = _LEAF) -> list[tuple[int, int]]:
@@ -241,19 +234,6 @@ def _on_threads(tasks: list[Callable[[], _T]]) -> list[_T]:
         helpers = [pool.submit(task) for task in tasks[:-1]]
         last = tasks[-1]()
         return [h.result() for h in helpers] + [last]
-
-
-def _draw(gen: np.random.Generator, out: np.ndarray) -> None:
-    """out <- unit exponentials -log1p(-U) from ``gen``, in place."""
-    gen.random(out=out)
-    _neg_log1p_neg(out)
-
-
-def _neg_log1p_neg(u: np.ndarray) -> np.ndarray:
-    """u <- -log1p(-u), in place."""
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    return np.negative(u, out=u)
 
 
 def sample_simplex(model: SimplexModel, rng: SeededRng) -> WeightVector:

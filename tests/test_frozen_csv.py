@@ -101,8 +101,8 @@ FROZEN = {
         dict(kind="moments", model="exponential", rate=2.0, n=800, trials=4, p_values=(0.01,)),
         "b7bbafb81b36b391589745bd0c842ebf2d52b265474e9eed522c387c57ea6690",
     ),
-    # the dense draw at non-unit alpha with L != N, split (N+1 >= 2^18):
-    # about 6,300 of the 319,600 coordinates fall below p
+    # the streamed draw at non-unit alpha with L != N, over four leaves
+    # (N+1 = 319,601): about 6,300 of the 319,600 coordinates fall below p
     "moments-alpha-L-split": (
         dict(kind="moments", n=800, trials=4, p_values=(0.005,), alpha="uniform:2", L=1e5),
         "aa8bf2033f9098c1925e4c40b900155c34d0f1c23675414c684394f1717a4916",

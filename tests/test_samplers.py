@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from simplexgraphs.atsp import row_symmetric_model
 from simplexgraphs.oracle import check_basic_bounds, sigma_simplex
 from simplexgraphs.model import MAX_UNIT_EXPONENTIAL, ThresholdGraph
 from simplexgraphs import samplers
-from simplexgraphs.samplers import _LEAF, _MIN_SLICE, _tree_leaves, _tree_starts, _tree_sum
+from simplexgraphs.samplers import _LEAF, _tree_leaves, _tree_sum
 
 KS_LIMIT = 0.0062  # 1e5-sample critical value used throughout
 
@@ -50,65 +51,69 @@ def _ball_marginal_pdf(N: int, R: float):
     return lambda t: (1 - (t / R) ** 2) ** ((N - 1) / 2) / norm
 
 
-class _OneThreadFake(SeededRng):
-    """A SeededRng whose ``exponential`` is replaced: drawn on one thread, any shape."""
+class _FakeRng(SeededRng):
+    """A SeededRng whose exponentials are ``values(positions)``: its per-leaf fill is replaced, for every draw."""
 
-    def __init__(self):
-        super().__init__(0, threads=1)
+    def __init__(self, threads=1):
+        super().__init__(0, threads=threads)
 
-
-class OverBudgetRng(_OneThreadFake):
-    # a negative "exponential" shrinks the normalizing sum, so the draw
-    # lands outside the polytope; the check must survive python -O
-    def exponential(self, size):
-        e = np.ones(size)
-        e[..., -1] = -1.5
-        return e
+    def _fill(self, gen, leaf, start):
+        leaf[:] = self.values(np.arange(start, start + leaf.size))
 
 
-class TinyNegativeSlackRng(_OneThreadFake):
-    # unit exponentials but the slack, -1e-14 times the others' sum: the formed
-    # budget exceeds L by about 1e-14 relative, inside a 1e-12 tolerance
-    def exponential(self, size):
-        e = np.ones(size)
-        e[..., -1] = -1e-14 * (e.shape[-1] - 1)
-        return e
+class OverBudgetRng(_FakeRng):
+    # a negative "exponential" shrinks the normalizing sum, so the draw lands
+    # outside the polytope; the check must survive python -O.  Rows of
+    # ``width`` values: each row's last one is -1.5
+    def __init__(self, width, threads=1):
+        super().__init__(threads)
+        self.width = width
+
+    def values(self, pos):
+        return np.where(pos % self.width == self.width - 1, -1.5, 1.0)
 
 
-class ThirdRowOverBudgetRng(_OneThreadFake):
+class TinyNegativeSlackRng(OverBudgetRng):
+    # unit exponentials but each row's slack, -1e-14 times the others' sum: the
+    # formed budget exceeds L by about 1e-14 relative, inside a 1e-12 tolerance
+    def values(self, pos):
+        return np.where(pos % self.width == self.width - 1, -1e-14 * (self.width - 1), 1.0)
+
+
+class ThirdRowOverBudgetRng(OverBudgetRng):
     """Rows of unit exponentials served in order, one per draw or several per batch; the third row's slack is -1.5."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, width, threads=1):
+        super().__init__(width, threads)
         self.rows = 0
+        self.lock = threading.Lock()  # a draw's leaves may be filled on two threads
 
-    def exponential(self, size):
-        e = np.ones(size)
-        rows = e.reshape(-1, e.shape[-1])
-        if 0 <= 2 - self.rows < len(rows):
-            rows[2 - self.rows, -1] = -1.5
-        self.rows += len(rows)
+    def values(self, pos):
+        e = np.ones(pos.size)
+        ends = np.flatnonzero(pos % self.width == self.width - 1)
+        with self.lock:
+            if 0 <= 2 - self.rows < ends.size:
+                e[ends[2 - self.rows]] = -1.5
+            self.rows += ends.size
         return e
 
 
-class LargestUniformRng(_OneThreadFake):
+class LargestUniformRng(_FakeRng):
     # every uniform is 1 - 2^-53, the largest the generator returns, so every
     # exponential is the largest a draw can see and L * E_e is the largest product
-    def exponential(self, size):
-        return -np.log1p(-np.full(size, 1.0 - 2.0**-53))
+    def values(self, pos):
+        return -np.log1p(-np.full(pos.size, 1.0 - 2.0**-53))
 
 
-class FirstValueRng(_OneThreadFake):
-    """Unit exponentials but the first coordinate, which is ``value``."""
+class FirstValueRng(_FakeRng):
+    """Unit exponentials but the draw's first value, which is ``value``."""
 
-    def __init__(self, value):
-        super().__init__()
+    def __init__(self, value, threads=1):
+        super().__init__(threads)
         self.value = value
 
-    def exponential(self, size):
-        e = np.ones(size)
-        e[..., 0] = self.value
-        return e
+    def values(self, pos):
+        return np.where(pos == 0, self.value, 1.0)
 
 
 def _largest_budget() -> float:
@@ -133,7 +138,7 @@ class TestSimplexSampler:
 
     def test_over_budget_draw_raises(self):
         with pytest.raises(FloatingPointError, match="budget polytope"):
-            sample_simplex_batch(SimplexModel.uniform(3), OverBudgetRng(), 2)
+            sample_simplex_batch(SimplexModel.uniform(3), OverBudgetRng(4), 2)
 
     def test_largest_budget_draws_finite_coordinates(self):
         assert LargestUniformRng().exponential(1)[0] == MAX_UNIT_EXPONENTIAL
@@ -239,7 +244,7 @@ class TestInPlaceDrawsMatchReference:
             (SimplexModel(EdgeSpace(15), np.random.default_rng(42).uniform(0.2, 3.0, 105), 33.0), 5),
             (SimplexModel.uniform(12), 40),
             (row_symmetric_model(np.random.default_rng(43).uniform(0.5, 2.0, 20), 20), 2),
-            # N+1 = 319,601 >= 2^18: the draw splits on two threads
+            # N+1 = 319,601: four leaves, two runs on two threads
             (SimplexModel(EdgeSpace(800), np.random.default_rng(44).uniform(0.5, 2.0, 319_600), 1e5), 1),
             (SimplexModel.uniform(800), 1),
         ],
@@ -250,7 +255,7 @@ class TestInPlaceDrawsMatchReference:
         got = sample_simplex_batch(model, SeededRng(17, 3, threads=2), count)
         assert np.array_equal(got, simplex_batch_reference(model, SeededRng(17, 3), count))
 
-    @pytest.mark.parametrize("size", [None, 7, (3, 11)])
+    @pytest.mark.parametrize("size", [(), 7, (3, 11)])  # () is a 0-d draw of one value
     def test_exponential_is_inverse_cdf(self, size):
         got = SeededRng(5, 9).exponential(size)
         assert np.array_equal(got, -np.log1p(-SeededRng(5, 9).uniform(size)))
@@ -269,7 +274,8 @@ class TestInPlaceDrawsMatchReference:
         assert np.array_equal(got, orthant_ball_reference(radius, space, SeededRng(7, 1)))
 
 
-_CUTOFF = 2 * _MIN_SLICE  # the smallest draw two threads split
+_TWO_LEAVES = 1 << 17  # two leaves of 2^16 values
+_FOUR_LEAVES = 2 * _TWO_LEAVES
 
 
 # What the stream draws before the split.  "mid-block" (3 doubles) is an odd
@@ -292,14 +298,14 @@ class TestSplitDraw:
     @pytest.mark.parametrize(
         "size",
         [
-            _CUTOFF - 4,
-            _CUTOFF - 1,
-            _CUTOFF,
-            _CUTOFF + 1,
-            _CUTOFF + 6,
-            3 * _MIN_SLICE + 3,
-            (3, _MIN_SLICE + 5),
-            4 * _MIN_SLICE + 5,  # four slices on four threads
+            _FOUR_LEAVES - 4,
+            _FOUR_LEAVES - 1,
+            _FOUR_LEAVES,
+            _FOUR_LEAVES + 1,
+            _FOUR_LEAVES + 6,
+            3 * _TWO_LEAVES + 3,
+            (3, _TWO_LEAVES + 5),
+            4 * _TWO_LEAVES + 5,  # eight leaves: four runs on four threads
         ],
     )
     def test_threads_give_the_same_bits(self, size, prior):
@@ -323,15 +329,16 @@ class TestSplitDraw:
     @pytest.mark.parametrize(
         "size, prior, threads, split",
         [
-            (_CUTOFF, 0, 2, True),
-            (_CUTOFF - 1, 0, 2, False),  # too small for two slices of _MIN_SLICE
-            (3 * _MIN_SLICE, 0, 3, True),
-            (_CUTOFF, 3, 2, True),  # any offset splits
-            (_CUTOFF, 4, 2, True),
-            (_CUTOFF, 0, 1, False),
+            (_FOUR_LEAVES, 0, 2, True),
+            (_LEAF, 0, 2, False),  # one leaf
+            (_LEAF + 1, 0, 2, True),  # two leaves
+            (3 * _TWO_LEAVES, 0, 3, True),
+            (_FOUR_LEAVES, 3, 2, True),  # any offset splits
+            (_FOUR_LEAVES, 4, 2, True),
+            (_FOUR_LEAVES, 0, 1, False),
             # threads left out: the CPU count
             pytest.param(
-                _CUTOFF, 0, None, True, marks=pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU")
+                _FOUR_LEAVES, 0, None, True, marks=pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU")
             ),
         ],
     )
@@ -339,45 +346,50 @@ class TestSplitDraw:
         rng = SeededRng(8, 21) if threads is None else SeededRng(8, 21, threads=threads)
         if prior:
             rng.uniform(prior)
-        assert (len(rng._slice_generators(size)) > 1) == split
+        assert (len(rng._slice_generators(_tree_leaves(0, size))) > 1) == split
 
     @pytest.mark.parametrize(
-        "count", [_CUTOFF, _CUTOFF + 13, 3 * _MIN_SLICE + 3, 4 * _MIN_SLICE + 5, 4 * _MIN_SLICE + 29]
+        "count", [_FOUR_LEAVES, _FOUR_LEAVES + 13, 3 * _TWO_LEAVES + 3, 4 * _TWO_LEAVES + 5, 4 * _TWO_LEAVES + 29]
     )
     def test_threads_give_the_same_sum(self, count):
-        # the leaves' sums, taken on their slices' threads and added along numpy's pairwise tree, are the whole sum
+        # the leaves' sums, taken on their runs' threads and added along numpy's pairwise tree, are the whole sum
         whole = SeededRng(8, 22, threads=1).exponential(count).reshape(1, -1).sum(axis=1)[0]
         for threads in (1, 2, 3, 4):
-            four = threads == 4 and count >= 4 * _MIN_SLICE
-            slices = SeededRng(8, 22, threads=threads)._slice_generators(count)
-            assert len(slices) == (1 if threads == 1 else 4 if four else 2)
             sums = SeededRng(8, 22, threads=threads).exponential_leaves(count, lambda leaf, start: leaf.sum())
             assert np.float64(_tree_sum(sums, count)).view(np.uint64) == whole.view(np.uint64)
 
+    # Draw sizes at and either side of the first with 2, 3, 4, 5 and 6 leaves, and two larger ones
+    RUN_COUNTS = [
+        1, _LEAF, _LEAF + 1, _LEAF + 2, 2 * _LEAF, 2 * _LEAF + 1, 2 * _LEAF + 2, 2 * _LEAF + 15, 2 * _LEAF + 16,
+        2 * _LEAF + 17, 4 * _LEAF, 4 * _LEAF + 1, 4 * _LEAF + 2, 4 * _LEAF + 15, 4 * _LEAF + 16, 4 * _LEAF + 17,
+        _FOUR_LEAVES, 2 * _FOUR_LEAVES,
+    ]
+
+    def test_run_counts_cover_one_to_five_leaves(self):
+        leaves = [len(_tree_leaves(0, c)) for c in self.RUN_COUNTS]
+        assert leaves == [1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 4, 8]
+
     @pytest.mark.parametrize(
         "count, threads, slices",
-        [
-            (_CUTOFF, 2, 2),
-            (_CUTOFF, 4, 2),
-            (4 * _MIN_SLICE - 1, 4, 2),  # too small for four slices of _MIN_SLICE
-            (4 * _MIN_SLICE, 3, 2),  # the tree cuts in 2 or 4
-            (4 * _MIN_SLICE, 4, 4),
-            (4 * _MIN_SLICE, 8, 4),
-        ],
+        [(c, t, min(t, len(_tree_leaves(0, c)))) for c in RUN_COUNTS for t in (1, 2, 3, 4)],
     )
     def test_slices_sit_on_the_sum_tree(self, count, threads, slices):
-        pieces = SeededRng(8, 21, threads=threads)._slice_generators(count)
-        starts = [a for a, _, _ in pieces]
-        assert starts == _tree_starts(count, slices)
-        assert min(np.diff([*starts, count])) >= _MIN_SLICE
-        # each slice is a node of the tree: its leaves are the draw's leaves
-        assert [leaf for a, b, _ in pieces for leaf in _tree_leaves(a, b)] == _tree_leaves(0, count)
+        # min(threads, leaves) slices, each a run of whole leaves, drawn by a generator at its first value
+        rng = SeededRng(8, 21, threads=threads)
+        rng.uniform(3)
+        pieces = rng._slice_generators(_tree_leaves(0, count))
+        assert len(pieces) == slices
+        assert all(run for run, _ in pieces)
+        assert [leaf for run, _ in pieces for leaf in run] == _tree_leaves(0, count)
+        stream = SeededRng(8, 21).uniform(3 + count)[3:]
+        for run, gen in pieces:
+            assert gen.random() == stream[run[0][0]]
 
 
-# Draw sizes either side of one and two leaves, of the smallest split draw, and of four slices
+# Draw sizes either side of one and two leaves, of 2^18 values (four leaves) and of eight leaves
 _STREAM_COUNTS = [
     _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 1, 2 * _LEAF, 2 * _LEAF + 1,
-    _CUTOFF - 1, _CUTOFF, _CUTOFF + 1, 4 * _MIN_SLICE - 3, 4 * _MIN_SLICE + 5,
+    _FOUR_LEAVES - 1, _FOUR_LEAVES, _FOUR_LEAVES + 1, 4 * _TWO_LEAVES - 3, 4 * _TWO_LEAVES + 5,
 ]
 
 
@@ -412,12 +424,12 @@ class TestStreamedDraw:
 
 
 class TestTreeSum:
-    """The streamed and split draws rely on numpy's pairwise sum.
+    """The streamed draw relies on numpy's pairwise sum.
 
     numpy sums c > 128 doubles as the sum of the first c//2 - (c//2) % 8 plus the sum of the rest.
     """
 
-    # odd sizes, sizes with (c // 2) % 8 != 0, the split draw's sizes and sizes just past one and two leaves
+    # odd sizes, sizes with (c // 2) % 8 != 0, the threaded draws' sizes and sizes just past one and two leaves
     SIZES = [
         *range(520, 560), 777, 1001, 4099, 65_537, 98_305, 196_609, 262_145, 262_151, 319_601, 524_295, 1_999_001,
         4_498_501,
@@ -426,21 +438,6 @@ class TestTreeSum:
     def test_sizes_cover_every_cut_remainder(self):
         assert {(c // 2) % 8 for c in self.SIZES} == set(range(8))
         assert {c % 2 for c in self.SIZES} == {0, 1}
-
-    @pytest.mark.parametrize("slices", [2, 4])
-    def test_tree_split_sum_is_the_whole_sum(self, slices):
-        gen = np.random.default_rng(5)
-        for c in self.SIZES:
-            e = gen.exponential(size=c)
-            starts = _tree_starts(c, slices)
-            bounds = list(zip(starts, [*starts[1:], c]))
-            assert len(starts) == slices
-            # the slices are the leaves of a tree cut no finer than its largest slice
-            largest = max(b - a for a, b in bounds)
-            assert _tree_leaves(0, c, largest) == bounds
-            parts = [e[a:b].sum() for a, b in bounds]
-            whole = e.reshape(1, -1).sum(axis=1)[0]
-            assert np.float64(_tree_sum(parts, c, largest)).view(np.uint64) == whole.view(np.uint64), c
 
     @pytest.mark.parametrize("leaf", [128, 200, 1000, 4096, _LEAF])
     def test_leaf_sums_fold_to_the_whole_sum(self, leaf):
@@ -479,7 +476,7 @@ class TestThresholdDraw:
     """``DensityModel.threshold_draw`` keeps exactly the coordinates the dense sample keeps."""
 
     def test_split_draw_non_unit_alpha_budget_not_n(self):
-        # N+1 = 604,451 values: two slices on 2 and 3 threads, four on 4
+        # N+1 = 604,451 values, eight leaves: two, three and four runs on 2, 3 and 4 threads
         space = EdgeSpace(1100)
         model = DensityModel.from_simplex(
             SimplexModel(space, np.random.default_rng(7).uniform(0.5, 2.0, space.num_edges), 1e5)
@@ -500,12 +497,12 @@ class TestThresholdDraw:
                 _same_graph_and_stream(model, 5, p, threads)
         assert _same_graph_and_stream(model, 5, math.inf, 2).edge_count == x.size
 
-    # N + 1 (simplex) or N (exponential) just below and above one leaf, two leaves and the smallest split draw
+    # N + 1 (simplex) or N (exponential) just below and above one leaf, two leaves and 2^18 values (four leaves)
     EDGE_SIZES = [443, 444, 627, 628, 724, 725]
 
     def test_edge_sizes_straddle_the_cuts(self):
         counts = sorted(n * (n - 1) // 2 + extra for n in self.EDGE_SIZES for extra in (0, 1))
-        for cut in (_LEAF, 2 * _LEAF, _CUTOFF):
+        for cut in (_LEAF, 2 * _LEAF, _FOUR_LEAVES):
             assert any(cut - 600 < c <= cut for c in counts) and any(cut < c < cut + 700 for c in counts)
 
     @pytest.mark.parametrize("n", EDGE_SIZES)
@@ -682,24 +679,24 @@ class TestThresholdDrawRefusals:
         )
 
     def test_negative_slack_leaves_the_polytope(self):
-        for draw in self._both(SimplexModel.uniform(3), OverBudgetRng, 0.5):
+        for draw in self._both(SimplexModel.uniform(3), partial(OverBudgetRng, 4), 0.5):
             with pytest.raises(FloatingPointError, match="budget polytope"):
                 draw()
 
     def test_negative_slack_inside_a_tolerance_is_refused(self):
         # the check is exact: a budget formed from this draw is within L (1 + 1e-12)
-        e = TinyNegativeSlackRng().exponential((1, 4))
+        e = TinyNegativeSlackRng(4).exponential((1, 4))
         assert 3.0 < 3.0 * e[0, :3].sum() / e.sum() <= 3.0 * (1 + 1e-12)
-        for draw in self._both(SimplexModel.uniform(3), TinyNegativeSlackRng, 0.5):
+        for draw in self._both(SimplexModel.uniform(3), partial(TinyNegativeSlackRng, 4), 0.5):
             with pytest.raises(FloatingPointError, match="budget polytope"):
                 draw()
 
     def test_each_row_is_checked(self):
         model = SimplexModel.uniform(3)
-        assert (sample_simplex_batch(model, ThirdRowOverBudgetRng(), 2) == 0.75).all()
+        assert (sample_simplex_batch(model, ThirdRowOverBudgetRng(4), 2) == 0.75).all()
         with pytest.raises(FloatingPointError, match=r"budget polytope: S=1\.5, slack=-1\.5$"):
-            sample_simplex_batch(model, ThirdRowOverBudgetRng(), 3)
-        dense, fused = ThirdRowOverBudgetRng(), ThirdRowOverBudgetRng()
+            sample_simplex_batch(model, ThirdRowOverBudgetRng(4), 3)
+        dense, fused = ThirdRowOverBudgetRng(4), ThirdRowOverBudgetRng(4)
         one_row_draws = (
             lambda: sample_simplex(model, dense),
             lambda: DensityModel.from_simplex(model).threshold_draw(fused, 1.0),
@@ -730,6 +727,40 @@ class TestThresholdDrawRefusals:
         x = sample_simplex(SimplexModel.uniform(3, L=_LARGEST_L), LargestUniformRng()).x
         assert np.isfinite(x).all()
         assert g.edge_count == (3 if p >= x[0] else 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_fake_reaches_a_draw_of_leaves(self, threads):
+        # N+1 = 179,701 values at n=600: two leaves, one run per thread at threads=2
+        model = SimplexModel.uniform(600)
+        width = model.space.num_edges + 1
+        assert len(_tree_leaves(0, width)) == 2
+        refusals = [
+            (partial(OverBudgetRng, width, threads), FloatingPointError, "budget polytope"),
+            (partial(TinyNegativeSlackRng, width, threads), FloatingPointError, "budget polytope"),
+            (partial(FirstValueRng, math.nan, threads), FloatingPointError, "budget polytope"),
+            (partial(FirstValueRng, -0.5, threads), ValueError, "non-negative"),
+        ]
+        for factory, error, message in refusals:
+            for draw in self._both(model, factory, 0.5):
+                with pytest.raises(error, match=message):
+                    draw()
+        dense, fused = ThirdRowOverBudgetRng(width, threads), ThirdRowOverBudgetRng(width, threads)
+        one_row_draws = (
+            lambda: sample_simplex(model, dense),
+            lambda: DensityModel.from_simplex(model).threshold_draw(fused, 1.0),
+        )
+        for draw in one_row_draws:
+            draw()
+            draw()
+            with pytest.raises(FloatingPointError, match=r"budget polytope: S=179698\.5, slack=-1\.5$"):
+                draw()
+        largest = SimplexModel.uniform(600, L=_LARGEST_L)
+        x0 = float(sample_simplex(largest, LargestUniformRng(threads)).x[0])
+        for p in (0.0, x0, _LARGEST_L):
+            fused, dense = self._both(largest, partial(LargestUniformRng, threads), p)
+            g, ref = fused(), dense()
+            assert np.array_equal(g.edge_indices, ref.edge_indices)
+            assert g.edge_count == (width - 1 if p >= x0 else 0)
 
 
 class TestSeededRng:
