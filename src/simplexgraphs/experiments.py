@@ -94,8 +94,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model kind {self.model!r}")
         with _config_errors():
             space = EdgeSpace(self.n)
-        if self.trials < 0:
-            raise ConfigError("trials must be non-negative")
+        # trial_stream packs (p_index, trial) into p_index * 2^32 + trial, which stays one
+        # stream per trial, and below _ALPHA_STREAM = 2^48, for trial < 2^32 and p_index < 2^16
+        if not 0 <= self.trials < 1 << 32:
+            raise ConfigError(f"trials must be non-negative and below 2^32, got {self.trials}")
+        if max(len(self.p_values), len(self.c_values)) >= 1 << 16:
+            raise ConfigError("a p or c schedule has at most 2^16 - 1 points")
         cpus = os.cpu_count() or 1
         if not 1 <= self.workers <= cpus:
             raise ConfigError(f"workers must be between 1 and the CPU count {cpus}, got {self.workers}")
@@ -628,29 +632,20 @@ class MstExperimentResult:
     series_value: float
     relative_gap: float
     trials: int
-    series_mode: str
 
 
 def mst_experiment(d: str, n: int, trials: int, seed: int) -> MstExperimentResult:
     """Monte Carlo mean spanning-tree weight vs the closed-form series (the trials of an mst sweep).
 
     ``d`` is the per-vertex factor spec, ``ones`` or ``dvalues:<v>x<count>,...``.
+    The series is summed first, so a spec past its cap is refused before any trial.
     """
     weights = DecomposableWeights(resolve_dvalues(d, n))
     config = ExperimentConfig(kind="mst", n=n, trials=trials, seed=seed, alpha=d)
-    if n <= oracle.SERIES_EXACT_MAX_N:
-        mode = "exact"
-    elif len(weights.distinct()[0]) <= oracle.SERIES_GROUPED_MAX_VALUES:
-        mode = "grouped"
-    else:
-        raise ConfigError(
-            f"no series mode available: n > {oracle.SERIES_EXACT_MAX_N}"
-            f" with more than {oracle.SERIES_GROUPED_MAX_VALUES} distinct factors"
-        )
+    series = oracle.mst_series(weights)
     ctx = _build_context(config)
-    series = oracle.mst_series(weights, mode=mode)
     _, (s,) = _run_trials(ctx, enumerate(ctx.schedule))
-    return MstExperimentResult(s["mean"], s["se"], series, abs(s["mean"] - series) / series, trials, mode)
+    return MstExperimentResult(s["mean"], s["se"], series, abs(s["mean"] - series) / series, trials)
 
 
 @dataclass(frozen=True)

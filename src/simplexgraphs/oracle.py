@@ -5,13 +5,16 @@ The central identity: for a coordinate set S,
 
     P(no coordinate of S falls at or below p) = (1 - alpha(S) p / L)^N,
 
-clamped to 0 once alpha(S) p >= L.  Everything else here (marginal edge
-probability, isolation profile, connectivity threshold p_0, spanning-tree
-series) is derived from it.
+clamped to 0 once alpha(S) p >= L.  The marginal edge probability, the
+isolation profile and the connectivity threshold p_0 are derived from it.
+The spanning-tree series for decomposable coefficients is one sum over the
+count vectors of the distinct factor values (the 2^n subsets when every
+factor is distinct), capped at SERIES_MAX_TERMS vectors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -163,88 +166,52 @@ def sigma_simplex(model: SimplexModel, e: int) -> float:
 #
 #     sum_{k>=1} (k-1)! / D^k  *  sum_{|S|=k} (prod_{v in S} d_v) / d_S^2,
 #
-# which collapses to sum 1/k^3 = zeta(3) when every d_v = 1.  The subset sum
-# only depends on the multiset of factor values, so with r distinct values it
-# compresses to count vectors (k_1..k_r) with multinomial weights; that is the
-# grouped mode, and what makes n = 200 evaluation practical.
+# which collapses to sum 1/k^3 = zeta(3) when every d_v = 1.  A subset's term
+# depends only on how many vertices it takes of each distinct factor value, so
+# with value v_i held by c_i vertices the subsets group into count vectors
+# (k_1..k_r), 0 <= k_i <= c_i, weighted by prod C(c_i, k_i).  With every
+# factor distinct (each c_i = 1) the vectors are the 2^n subsets themselves.
 
-SERIES_EXACT_MAX_N = 20  # largest n the exact mode enumerates 2^n subsets for
-SERIES_GROUPED_MAX_VALUES = 4  # most distinct factor values the grouped mode takes
-
-
-def _series_term_grouped(k: int, values: np.ndarray, counts: np.ndarray, log_binoms, log_d_total: float) -> float:
-    """Term k of the series; ``log_binoms[i][j]`` is log C(counts[i], j)."""
-    from scipy.special import gammaln
-
-    log_lead = gammaln(k) - k * log_d_total
-    log_values = np.log(values)
-    total = 0.0
-
-    def rec(i: int, remaining: int, log_acc: float, dot: float):
-        nonlocal total
-        if i == len(values) - 1:
-            ki = remaining
-            if ki > counts[i]:
-                return
-            lacc = log_acc + log_binoms[i][ki] + ki * log_values[i]
-            total += math.exp(log_lead + lacc - 2.0 * math.log(dot + ki * values[i]))
-            return
-        for ki in range(0, min(remaining, int(counts[i])) + 1):
-            rec(
-                i + 1,
-                remaining - ki,
-                log_acc + log_binoms[i][ki] + ki * log_values[i],
-                dot + ki * values[i],
-            )
-
-    rec(0, k, 0.0, 0.0)
-    return total
+SERIES_MAX_TERMS = 1 << 24  # most count vectors the series sums
 
 
-def _mst_series_exact(weights: DecomposableWeights) -> float:
-    from scipy.special import gammaln
+def mst_series(weights: DecomposableWeights) -> float:
+    """The spanning-tree series as one sum over the prod(c_i + 1) - 1 non-zero count vectors.
 
-    n = weights.n
-    if n > SERIES_EXACT_MAX_N:
-        raise CapacityError(f"exact subset enumeration capped at n={SERIES_EXACT_MAX_N}, got n={n}")
-    d = np.asarray(weights.d)
-    log_d_total = math.log(weights.total)
-    log_d = np.log(d)
-    total = 0.0
-    chunk = 1 << 16
-    n_masks = (1 << n) - 1
-    cols = np.arange(n, dtype=np.uint32)
-    for start in range(1, n_masks + 1, chunk):
-        masks = np.arange(start, min(start + chunk, n_masks + 1), dtype=np.uint32)
-        bits = ((masks[:, None] >> cols) & 1).astype(float)
-        k = bits.sum(axis=1)
-        d_s = bits @ d
-        log_prod = bits @ log_d
-        total += float(np.exp(gammaln(k) - k * log_d_total + log_prod - 2.0 * np.log(d_s)).sum())
-    return total
-
-
-def mst_series(weights: DecomposableWeights, mode: str = "grouped") -> float:
-    """Evaluate the spanning-tree series in one of two modes.
-
-    exact      full subset enumeration (n <= SERIES_EXACT_MAX_N)
-    grouped    count-vector compression over distinct factor values (at most
-               SERIES_GROUPED_MAX_VALUES of them)
+    The vector k, with K = sum k_i, adds
+    exp(log (K-1)! - K log D + sum_i [log C(c_i, k_i) + k_i log v_i] - 2 log sum_i k_i v_i).
+    The vectors are enumerated by mixed radix: the leading counts form one
+    block of columns (at most 2^16 vectors, or the largest count alone), each
+    choice of the other counts shifts the block, and the sum runs 2^16
+    columns at a time.  More than SERIES_MAX_TERMS vectors is a
+    CapacityError, raised before any array is built.
     """
-    if mode == "exact":
-        return _mst_series_exact(weights)
-    if mode != "grouped":
-        raise ValueError(f"unknown mode {mode!r}")
+    from scipy.special import gammaln
+
     values, counts = weights.distinct()
-    if len(values) > SERIES_GROUPED_MAX_VALUES:
-        raise ValueError(
-            f"grouped mode supports at most {SERIES_GROUPED_MAX_VALUES} distinct factor values, got {len(values)}"
+    n_vectors = math.prod(int(c) + 1 for c in counts)
+    if n_vectors - 1 > SERIES_MAX_TERMS:
+        raise CapacityError(
+            f"the spanning-tree series over {len(values)} distinct factor values at n={weights.n}"
+            f" needs more than {SERIES_MAX_TERMS} count vectors"
         )
-    log_d_total = math.log(weights.total)
-    log_binoms = [log_binomial(int(c), np.arange(int(c) + 1)) for c in counts]
+    # one row triple per value, largest count first: k = 0..c, log C(c, k) + k log v, and k v
+    tables = []
+    for i in np.argsort(-counts, kind="stable"):
+        k = np.arange(counts[i] + 1.0)
+        tables.append(np.stack([k, log_binomial(counts[i], k) + k * math.log(values[i]), k * values[i]]))
+    block = np.zeros((3, 1))
+    while tables and (block.shape[1] == 1 or block.shape[1] * tables[0].shape[1] <= 1 << 16):
+        block = (block[:, None, :] + tables.pop(0)[:, :, None]).reshape(3, -1)
+    log_d_total = math.log(counts @ values)  # D from the sorted distinct values, whatever the order of d
     total = 0.0
-    for k in range(1, weights.n + 1):
-        total += _series_term_grouped(k, values, counts, log_binoms, log_d_total)
+    skip = 1  # the zero vector heads the first block
+    for columns in itertools.product(*(t.T for t in tables)):
+        shift = sum(columns, np.zeros(3))[:, None]
+        for start in range(skip, block.shape[1], 1 << 16):
+            k, log_w, dot = block[:, start : start + (1 << 16)] + shift
+            total += float(np.exp(gammaln(k) - k * log_d_total + log_w - 2.0 * np.log(dot)).sum())
+        skip = 0
     return total
 
 

@@ -5,6 +5,7 @@ a float-sqrt inverse of the undirected pair index, degrees as endpoint counts, a
 component labels, per-vertex and per-pair loops for coefficient sums, edge
 lookups and isolation probabilities, full enumeration over Prufer sequences
 for spanning trees,
+every 2^n subset for the spanning-tree series,
 permutation scans for matchings, Hamilton cycles, assignments and tours, inclusion-exclusion
 over the exact absence formula, the former Philox generator as the
 reference for the law of the draws, and each family's own marginal CDF
@@ -302,6 +303,29 @@ def expected_mst_weight_exact(n, L=None):
     total = 0.0
     for m in range(N):
         total += (avg_kappa[m] - 1.0) * L / ((N - m) * (N + 1))
+    return total
+
+
+def mst_series_subset_reference(d):
+    """The spanning-tree series as its 2^n - 1 subset terms, one per bit mask, for n <= 20.
+
+    Subset S adds (|S|-1)! prod_{v in S} d_v / (D^|S| d_S^2), in logs.
+    """
+    from scipy.special import gammaln
+
+    d = np.asarray(d, dtype=float)
+    n = d.size
+    assert n <= 20, "the reference enumerates every subset"
+    log_d_total = math.log(d.sum())
+    log_d = np.log(d)
+    total = 0.0
+    chunk = 1 << 16
+    cols = np.arange(n, dtype=np.uint32)
+    for start in range(1, 1 << n, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
+        bits = ((masks[:, None] >> cols) & 1).astype(float)
+        k = bits.sum(axis=1)
+        total += float(np.exp(gammaln(k) - k * log_d_total + bits @ log_d - 2.0 * np.log(bits @ d)).sum())
     return total
 
 

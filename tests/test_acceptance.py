@@ -15,6 +15,7 @@ from brutes import (
     assignment_brute,
     components_brute,
     diameter_brute,
+    mst_series_subset_reference,
     mst_weight_brute,
 )
 from simplexgraphs import (
@@ -219,20 +220,21 @@ def test_c07_diameter_regimes():
 
 def test_c08_mst_series_and_monte_carlo():
     # d=1, n=200, T=500: |MC - series| / series <= 0.05; series within 0.02 of
-    # the zeta(3) partial sum; grouped == exact to 1e-10 at n=16
+    # the zeta(3) partial sum; mst_series equals the subset reference within
+    # 1e-10 at n=16 (8 x 0.8, 8 x 1.25)
     res = mst_experiment("ones", 200, trials=500, seed=108)
     gap_ok = res.relative_gap <= 0.05
     zeta3 = float(sum(1.0 / k**3 for k in range(1, 100_001)))
     series_ok = abs(res.series_value - zeta3) <= 0.02
-    w16 = DecomposableWeights(np.array([0.8] * 8 + [1.25] * 8))
-    agreement = abs(mst_series(w16, "exact") - mst_series(w16, "grouped"))
-    modes_ok = agreement <= 1e-10
-    ok = gap_ok and series_ok and modes_ok
+    d16 = np.array([0.8] * 8 + [1.25] * 8)
+    agreement = abs(mst_series(DecomposableWeights(d16)) - mst_series_subset_reference(d16))
+    reference_ok = agreement <= 1e-10
+    ok = gap_ok and series_ok and reference_ok
     report(
         "C08 minimum spanning tree",
         ok,
         f"MC={res.mc_mean:.5f} series={res.series_value:.5f} gap={res.relative_gap:.3%}; "
-        f"series-zeta3={abs(res.series_value - zeta3):.4f}; exact-grouped={agreement:.1e}",
+        f"series-zeta3={abs(res.series_value - zeta3):.4f}; series-subsets={agreement:.1e}",
     )
     assert ok
 

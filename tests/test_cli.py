@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from brutes import mst_series_subset_reference
 from simplexgraphs import DensityModel, experiments
 from simplexgraphs.cli import main
 
@@ -250,8 +251,17 @@ class TestMstCommand:
         assert main(["mst", "--n", "10", "--trials", "40", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
-        assert fields["series[exact]"]
+        assert float(fields["series"]) == pytest.approx(mst_series_subset_reference(np.ones(10)), rel=1e-11)
         assert float(fields["relative_gap"]) < 0.5
+
+    def test_series_over_cap_exit_3_before_any_trial(self, capsys):
+        # 25 distinct factors need 2^25 - 1 count vectors; the refusal comes before the trials
+        spec = "dvalues:" + ",".join(f"{1 + i / 100}x1" for i in range(25))
+        assert main(["mst", "--n", "25", "--d", spec, "--trials", "100000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("capacity error:") and captured.err.count("\n") == 1
+        assert "25 distinct factor values" in captured.err
+        assert captured.out == ""
 
     def test_huge_weights_give_a_finite_standard_error(self, capsys):
         # products d_v*d_w = 1e-300 make MST weights near 1e300, whose squared

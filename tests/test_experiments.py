@@ -16,10 +16,12 @@ from brutes import expected_mst_weight_exact
 from simplexgraphs import (
     CapacityError,
     ConfigError,
+    DecomposableWeights,
     ExperimentConfig,
     SimplexModel,
     atsp_experiment,
     mst_experiment,
+    mst_series,
     parse_config,
     run_sweep,
     wilson_interval,
@@ -170,6 +172,23 @@ class TestConfigParsing:
     def test_theta_schedule_validation(self):
         with pytest.raises(ConfigError):
             parse_config("kind=diameter\nn=20\np_mode=theta\ntheta=1.2\ntrials=1\nseed=0\n")
+
+    def test_trials_below_two_to_the_32(self):
+        # trial_stream(0, 2^32) would be trial_stream(1, 0)
+        assert experiments.trial_stream(0, 1 << 32) == experiments.trial_stream(1, 0)
+        cfg = ExperimentConfig(kind="moments", n=6, trials=(1 << 32) - 1, seed=0, p_values=(0.1,))
+        with pytest.raises(ConfigError, match="trials must be non-negative and below 2\\^32"):
+            replace(cfg, trials=1 << 32)
+
+    @pytest.mark.parametrize("key", ["p_values", "c_values"])
+    def test_schedules_below_two_to_the_16_points(self, key):
+        # point 2^16 would draw its trial 0 from the coefficient stream
+        assert experiments.trial_stream(1 << 16, 0) == experiments._ALPHA_STREAM
+        assert experiments.trial_stream((1 << 16) - 1, (1 << 32) - 1) < experiments._ALPHA_STREAM
+        p_mode = "explicit" if key == "p_values" else "clogn"
+        cfg = ExperimentConfig(kind="connectivity", n=6, trials=1, seed=0, p_mode=p_mode, **{key: (0.5,) * 65535})
+        with pytest.raises(ConfigError, match="at most 2\\^16 - 1 points"):
+            replace(cfg, **{key: (0.5,) * 65536})
 
 
 class TestRunSweep:
@@ -334,8 +353,8 @@ FIRST_CALL_CASES = (
     "marginal_cdf(DensityModel.orthant_ball(1.5, EdgeSpace(7)), 3, 0.4)",
     "DensityModel.orthant_ball(1.5, EdgeSpace(7)).second_moment(2)",
     "DensityModel.orthant_ball(2.0, EdgeSpace(9)).mean(0)",
-    "mst_series(DecomposableWeights(np.repeat([1.0, 2.5], [4, 5])), mode='exact')",
-    "mst_series(DecomposableWeights(np.repeat([1.0, 2.5, 0.5], [10, 12, 8])), mode='grouped')",
+    "mst_series(DecomposableWeights(np.repeat([1.0, 2.5], [4, 5])))",
+    "mst_series(DecomposableWeights(np.repeat([1.0, 2.5, 0.5], [10, 12, 8])))",
 )
 
 
@@ -458,9 +477,22 @@ class TestMstExperiment:
         with pytest.raises(ConfigError, match="trials"):
             mst_experiment("ones", 6, -1, seed=1)
 
-    def test_too_many_values_rejected(self):
-        with pytest.raises(ConfigError, match="no series mode"):
-            mst_experiment("dvalues:0.8x5,0.9x5,1x5,1.1x5,1.2x5", 25, 5, seed=1)
+    def test_five_values_run(self):
+        # 6^5 - 1 count vectors; the spec has neither n <= 20 nor at most 4 distinct values
+        res = mst_experiment("dvalues:0.8x5,0.9x5,1x5,1.1x5,1.2x5", 25, 5, seed=1)
+        assert res.trials == 5 and math.isfinite(res.mc_mean)
+        d = resolve_dvalues("dvalues:0.8x5,0.9x5,1x5,1.1x5,1.2x5", 25)
+        assert res.series_value == mst_series(DecomposableWeights(d))
+
+    def test_too_many_values_rejected(self, monkeypatch):
+        # 25 distinct values: 2^25 - 1 count vectors, over the cap, refused before any trial
+        def no_trials(*args):
+            raise AssertionError("a trial ran before the series cap was checked")
+
+        monkeypatch.setattr(experiments, "_run_trials", no_trials)
+        spec = "dvalues:" + ",".join(f"{1 + i / 100}x1" for i in range(25))
+        with pytest.raises(CapacityError, match="25 distinct factor values"):
+            mst_experiment(spec, 25, 5, seed=1)
 
     def test_small_n_exact_oracle(self):
         # exact finite-size expectation 73/70 for the all-ones model at n=4,
@@ -478,12 +510,6 @@ class TestMstExperiment:
         exact = expected_mst_weight_exact(5)
         res = mst_experiment("ones", 5, trials=30_000, seed=13)
         assert abs(res.mc_mean - exact) < 4 * res.mc_se
-
-    def test_mode_selection(self):
-        res = mst_experiment("ones", 12, trials=5, seed=14)
-        assert res.series_mode == "exact"
-        res = mst_experiment("ones", 40, trials=5, seed=15)
-        assert res.series_mode == "grouped"
 
 
 class TestAtspExperiment:

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brutes import absent_present_exact, xi_vertex_brute
+from brutes import absent_present_exact, mst_series_subset_reference, xi_vertex_brute
+from simplexgraphs import oracle
 from simplexgraphs import (
     DecomposableWeights,
     DensityModel,
@@ -283,37 +287,79 @@ class TestSigmaSimplex:
             assert IsolationProfile(m).total(1e300) == 0.0
 
 
+@st.composite
+def factor_vectors(draw):
+    """(d, permutation): n in 2..12 factors taking 1..n distinct values, and an order of them."""
+    n = draw(st.integers(2, 12))
+    r = draw(st.integers(1, n))
+    values = draw(st.lists(st.floats(0.05, 20.0), min_size=r, max_size=r, unique=True))
+    # every value is held once, the other n - r vertices take any of them
+    held = list(range(r)) + draw(st.lists(st.integers(0, r - 1), min_size=n - r, max_size=n - r))
+    return np.array([values[i] for i in held]), draw(st.permutations(range(n)))
+
+
 class TestMstSeries:
     def test_four_term_hand_sum(self):
         w = DecomposableWeights(np.ones(4))
         expected = 1.0 + 6.0 / 64.0 + 8.0 / 576.0 + 6.0 / 4096.0
         assert expected == pytest.approx(1.1091037326388889)
-        assert mst_series(w, "exact") == pytest.approx(expected, abs=1e-12)
+        assert mst_series(w) == pytest.approx(expected, abs=1e-12)
 
     def test_approaches_zeta3(self):
         zeta3 = sum(1.0 / k**3 for k in range(1, 200_001))
         w = DecomposableWeights(np.ones(200))
-        assert abs(mst_series(w, "grouped") - zeta3) < 0.02
+        assert abs(mst_series(w) - zeta3) < 0.02
 
-    def test_grouped_equals_exact_two_valued(self):
-        w = DecomposableWeights(np.array([0.8] * 8 + [1.25] * 8))
-        exact = mst_series(w, "exact")
-        grouped = mst_series(w, "grouped")
-        assert abs(exact - grouped) < 1e-10
+    def test_equals_subset_reference_two_valued(self):
+        d = np.array([0.8] * 8 + [1.25] * 8)
+        assert abs(mst_series(DecomposableWeights(d)) - mst_series_subset_reference(d)) < 1e-10
 
-    def test_exact_capacity(self):
-        with pytest.raises(CapacityError):
-            mst_series(DecomposableWeights(np.ones(21)), "exact")
+    @settings(max_examples=150, deadline=None)
+    @given(case=factor_vectors())
+    def test_equals_subset_reference(self, case):
+        d, order = case
+        value = mst_series(DecomposableWeights(d))
+        assert value == pytest.approx(mst_series_subset_reference(d), rel=1e-12, abs=0)
+        assert mst_series(DecomposableWeights(d[order])) == value
 
-    def test_grouped_rejects_many_values(self):
-        w = DecomposableWeights(np.array([1.0, 1.1, 1.2, 1.3, 1.4, 1.5]))
-        with pytest.raises(ValueError):
-            mst_series(w, "grouped")
+    def test_shifted_blocks_equal_subset_reference(self):
+        # 2^18 vectors: a block of 16 values' counts, shifted by the 4 choices of the other two
+        d = np.linspace(1.0, 2.0, 18)
+        assert mst_series(DecomposableWeights(d)) == pytest.approx(mst_series_subset_reference(d), rel=1e-12, abs=0)
 
-    def test_unknown_mode(self):
-        for mode in ("symbolic", "truncated"):
-            with pytest.raises(ValueError, match="unknown mode"):
-                mst_series(DecomposableWeights(np.ones(4)), mode)
+    def test_one_count_past_the_chunk(self):
+        # unit factors: sum_k prod_{j<k} (1 - j/n) / k^3; 70,001 count vectors run in two
+        # chunks.  log C(n, k) differences of lgamma values near n log n lose about
+        # n log n 2^-53 ~ 1e-10 relative, so the tolerance is 1e-9
+        n = 70_000
+        terms, falling = [], 1.0
+        for k in range(1, 4000):  # the term at k = 4000 is below 1e-60
+            falling *= (n - k + 1) / n
+            terms.append(falling / k**3)
+        assert mst_series(DecomposableWeights(np.ones(n))) == pytest.approx(math.fsum(terms), rel=1e-9)
+
+    def test_cap_is_on_the_vector_count(self, monkeypatch):
+        # ones(n) has n + 1 count vectors, the zero vector among them
+        monkeypatch.setattr(oracle, "SERIES_MAX_TERMS", 7)
+        assert mst_series(DecomposableWeights(np.ones(7))) > 0
+        with pytest.raises(CapacityError, match="1 distinct factor values at n=8"):
+            mst_series(DecomposableWeights(np.ones(8)))
+
+    @pytest.mark.parametrize("r", [25, 10_000])
+    def test_cap_names_the_distinct_value_count(self, r):
+        # 2^r - 1 subsets; the refusal builds no enumeration array and stays one short line
+        w = DecomposableWeights(np.linspace(1.0, 2.0, r))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as info:
+                mst_series(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = str(info.value)
+        assert f"{r} distinct factor values" in message
+        assert "\n" not in message and len(message) < 120
+        assert peak < 1 << 20
 
 
 class TestCheckBasicBounds:
