@@ -19,11 +19,3 @@ def pow_one_minus(x, exponent: float):
     out[ok] = np.exp(exponent * np.log1p(-arr[ok]))
     return float(out[0]) if scalar else out
 
-
-def log_binomial(n: int, k) -> np.ndarray | float:
-    """log of the binomial coefficient C(n, k), via lgamma."""
-    from scipy.special import gammaln
-
-    n_arr = np.asarray(n, dtype=float)
-    k_arr = np.asarray(k, dtype=float)
-    return gammaln(n_arr + 1.0) - gammaln(k_arr + 1.0) - gammaln(n_arr - k_arr + 1.0)

@@ -14,12 +14,11 @@ with Wilson 95% intervals where applicable.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,28 +135,17 @@ class ExperimentConfig:
             raise ConfigError(f"marginal coordinate {self.edge} out of range")
 
 
-# config key -> value parser; a key names the ExperimentConfig field of its name, or of _FIELD_NAMES
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(","))
+
+
+# value parser per ExperimentConfig annotation, " | None" left off
+_PARSERS = {"str": str, "int": int, "float": float, "tuple[float, ...]": _floats}
+# config key -> (ExperimentConfig field, value parser); a key is its field's name, but for p and c
 _CONFIG_KEYS = {
-    "kind": str,
-    "model": str,
-    "n": int,
-    "alpha": str,
-    "L": float,
-    "rate": float,
-    "radius": float,
-    "p": "floats",
-    "p_mode": str,
-    "c": "floats",
-    "eps": float,
-    "theta": float,
-    "beta": str,
-    "edge": int,
-    "trials": int,
-    "seed": int,
-    "workers": int,
-    "out": str,
+    {"p_values": "p", "c_values": "c"}.get(f.name, f.name): (f.name, _PARSERS[f.type.removesuffix(" | None")])
+    for f in fields(ExperimentConfig)
 }
-_FIELD_NAMES = {"p": "p_values", "c": "c_values"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -185,15 +173,14 @@ def config_from_mapping(data: dict[str, str]) -> ExperimentConfig:
     for required in ("kind", "n", "trials", "seed"):
         if required not in given:
             raise ConfigError(f"missing required config key {required!r}")
-    fields = {}
+    values = {}
     for key, text in given.items():
-        conv = _CONFIG_KEYS[key]
+        name, parse = _CONFIG_KEYS[key]
         try:
-            value = tuple(float(tok) for tok in text.split(",")) if conv == "floats" else conv(text)
+            values[name] = parse(text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
-        fields[_FIELD_NAMES.get(key, key)] = value
-    return ExperimentConfig(**fields)
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -415,36 +402,10 @@ def _run_trial(ctx: _SweepContext, p_index: int, p: float, trial: int) -> TrialR
 
 _WORKER_CTX: _SweepContext | None = None
 
-# glibc's mmap and trim thresholds where its own dynamic rule ends once a
-# 32 MiB block has been freed: M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD twice that
-_HEAP_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
-
-
-def _pin_heap_thresholds() -> None:
-    """Fix glibc's heap thresholds for this process, so each trial reuses the heap the last one freed.
-
-    By default glibc raises both thresholds only when it frees a large
-    mapped block, so a process that never frees one keeps them low and
-    returns the heap a trial freed to the kernel, and the next trial faults
-    it back in page by page: about 4,000 minor faults per ``diameter`` trial
-    at (2000, 0.8) once the thresholded draw no longer holds its 16 MB
-    buffer.  Pinned at the values the dynamic rule ends at, the heap stays
-    at its high-water mark and no trial's output depends on it.  A C
-    library without ``mallopt`` is left as it is.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    for param, value in _HEAP_THRESHOLDS:
-        mallopt(param, value)
-
 
 def _init_worker(ctx: _SweepContext) -> None:
     global _WORKER_CTX
     _WORKER_CTX = ctx
-    _pin_heap_thresholds()
 
 
 def _worker_trial(task: tuple[int, float, int]) -> TrialRecord:
@@ -464,7 +425,6 @@ def _run_trials(ctx: _SweepContext, points) -> tuple[list[TrialRecord], list[dic
     points = list(points)
     T = ctx.config.trials
     tasks = [(pi, p, t) for pi, p in points for t in range(T)]
-    _pin_heap_thresholds()
     workers = ctx.config.workers
     if workers > 1 and tasks:
         chunk = max(1, len(tasks) // (workers * 8))

@@ -240,52 +240,14 @@ def bipartite_perfect_matching(g: ThresholdGraph) -> bool:
     return bool((maximum_bipartite_matching(biadjacency, perm_type="column") >= 0).all())
 
 
-def _articulation_free(adj_mask: list[int], n: int) -> bool:
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-
-    def neighbors(v: int):
-        m = adj_mask[v]
-        while m:
-            b = m & -m
-            yield b.bit_length() - 1
-            m ^= b
-
-    # iterative Tarjan articulation-point scan of vertex 0's component only; the search rejects a disconnected graph
-    stack = [(0, -1, neighbors(0))]
-    disc[0] = low[0] = timer
-    timer += 1
-    root_children = 0
-    while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((w, v, neighbors(w)))
-                advanced = True
-                break
-            elif w != parent:
-                low[v] = min(low[v], disc[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if pv != 0 and low[v] >= disc[pv]:
-                    return False
-    return root_children <= 1
-
-
 HAMILTON_MAX_N = 24  # largest n the exact search accepts
 
 
 def is_hamiltonian(g: ThresholdGraph) -> bool:
-    """Exact Hamilton-cycle decision by pruned backtracking; capped at ``HAMILTON_MAX_N`` vertices."""
+    """Exact Hamilton-cycle decision by pruned backtracking after a cut-vertex guard by bit-set BFS.
+
+    Capped at ``HAMILTON_MAX_N`` vertices.
+    """
     n = g.n
     if n > HAMILTON_MAX_N:
         raise CapacityError(f"exact Hamiltonicity search capped at n={HAMILTON_MAX_N}, got n={n}")
@@ -297,11 +259,6 @@ def is_hamiltonian(g: ThresholdGraph) -> bool:
         adj_mask[h] |= 1 << t
     if min(m.bit_count() for m in adj_mask) < 2:
         return False
-    if not _articulation_free(adj_mask, n):
-        return False
-
-    full = (1 << n) - 1
-    start_bit = 1
 
     def reachable(src_bit: int, allowed: int) -> int:
         seen = src_bit
@@ -316,6 +273,15 @@ def is_hamiltonian(g: ThresholdGraph) -> bool:
             frontier = nxt & allowed & ~seen
             seen |= frontier
         return seen
+
+    full = (1 << n) - 1
+    # a Hamilton cycle less one vertex is a path through the rest, so no vertex
+    # may cut the graph; this also rejects a disconnected graph before the search
+    for v in range(n):
+        rest = full & ~(1 << v)
+        if reachable(rest & -rest, rest) != rest:
+            return False
+    start_bit = 1
 
     def extend(cur: int, visited: int) -> bool:
         if visited == full:

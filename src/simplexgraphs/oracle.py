@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import log_binomial, pow_one_minus
+from ._numeric import pow_one_minus
 from .errors import CapacityError
 from .model import DecomposableWeights, SimplexModel
 from .samplers import DensityModel, marginal_cdf
@@ -195,11 +195,14 @@ def mst_series(weights: DecomposableWeights) -> float:
             f"the spanning-tree series over {len(values)} distinct factor values at n={weights.n}"
             f" needs more than {SERIES_MAX_TERMS} count vectors"
         )
-    # one row triple per value, largest count first: k = 0..c, log C(c, k) + k log v, and k v
+    # one row triple per value, largest count first: k = 0..c, log C(c, k) + k log v, and k v;
+    # log C(c, k) is the running sum of log(c - j) over j < k, less log k!, since a
+    # difference of lgamma values near c log c would cancel to about c log c 2^-53
     tables = []
     for i in np.argsort(-counts, kind="stable"):
         k = np.arange(counts[i] + 1.0)
-        tables.append(np.stack([k, log_binomial(counts[i], k) + k * math.log(values[i]), k * values[i]]))
+        log_binomial = np.concatenate(([0.0], np.cumsum(np.log(counts[i] - k[:-1])))) - gammaln(k + 1.0)
+        tables.append(np.stack([k, log_binomial + k * math.log(values[i]), k * values[i]]))
     block = np.zeros((3, 1))
     while tables and (block.shape[1] == 1 or block.shape[1] * tables[0].shape[1] <= 1 << 16):
         block = (block[:, None, :] + tables.pop(0)[:, :, None]).reshape(3, -1)

@@ -56,13 +56,14 @@ ball draw the dense ``sample``.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import NamedTuple, TypeVar
 
 import numpy as np
@@ -89,6 +90,34 @@ _T = TypeVar("_T")
 _LEAF = 3 << 15
 
 
+# glibc's mmap and trim thresholds where its own dynamic rule ends once a
+# 32 MiB block has been freed: M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD twice that
+_HEAP_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+@cache
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's heap thresholds for this process, once, so each trial reuses the heap the last one freed.
+
+    By default glibc raises both thresholds only when it frees a large
+    mapped block, so a process that never frees one keeps them low and
+    returns the heap a trial freed to the kernel, and the next trial faults
+    it back in page by page: about 4,000 minor faults per ``diameter`` trial
+    at (2000, 0.8) once the thresholded draw no longer holds its 16 MB
+    buffer.  Pinned at the values the dynamic rule ends at, the heap stays
+    at its high-water mark and no draw's output depends on it.  Every
+    ``SeededRng`` calls it, so a sweep, a pool worker, the CLI and a library
+    loop are all pinned.  A C library without ``mallopt`` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _HEAP_THRESHOLDS:
+        mallopt(param, value)
+
+
 class SeededRng:
     """Random stream keyed by (seed, stream): PCG64DXSM seeded by ``SeedSequence([seed, stream])``.
 
@@ -96,10 +125,12 @@ class SeededRng:
     identical draw sequences; distinct streams under one seed are
     statistically independent.  ``threads`` caps how many threads one large
     exponential draw may use (default: the CPU count); any value gives
-    the same numbers.
+    the same numbers.  The first one made in a process pins the heap
+    thresholds (``_pin_heap_thresholds``).
     """
 
     def __init__(self, seed: int, stream: int = 0, threads: int | None = None):
+        _pin_heap_thresholds()
         self.seed = int(seed)
         self.stream = int(stream)
         self.threads = int(threads) if threads is not None else os.cpu_count() or 1

@@ -18,6 +18,7 @@ from simplexgraphs import (
     ConfigError,
     DecomposableWeights,
     ExperimentConfig,
+    SeededRng,
     SimplexModel,
     atsp_experiment,
     mst_experiment,
@@ -26,7 +27,7 @@ from simplexgraphs import (
     run_sweep,
     wilson_interval,
 )
-from simplexgraphs import experiments
+from simplexgraphs import experiments, graphs, samplers
 from simplexgraphs.experiments import KINDS, _CONFIG_KEYS, _build_context, _run_trial, _summarize, resolve_dvalues
 
 BASIC = """
@@ -294,7 +295,7 @@ class TestRunSweep:
 
 
 class TestHeapThresholds:
-    """A sweep pins glibc's heap thresholds for its process; elsewhere it leaves the C library alone."""
+    """The first ``SeededRng`` of a process pins glibc's heap thresholds; a C library without mallopt is left alone."""
 
     class _Libc:
         def __init__(self):
@@ -307,21 +308,37 @@ class TestHeapThresholds:
 
             self.mallopt = mallopt
 
+    @pytest.fixture(autouse=True)
+    def _unpinned(self):
+        # the pin runs once per process; each test sees it run afresh, and leaves it to run again
+        samplers._pin_heap_thresholds.cache_clear()
+        yield
+        samplers._pin_heap_thresholds.cache_clear()
+
     def test_a_sweep_pins_both_thresholds(self, monkeypatch):
         libc = self._Libc()
-        monkeypatch.setattr(experiments.ctypes, "CDLL", lambda name: libc)
+        monkeypatch.setattr(samplers.ctypes, "CDLL", lambda name: libc)
         run_sweep(parse_config(BASIC))
-        # M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 64 MiB
+        # M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 64 MiB, over all 50 trials
+        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_a_loop_outside_any_sweep_is_pinned(self, monkeypatch):
+        libc = self._Libc()
+        monkeypatch.setattr(samplers.ctypes, "CDLL", lambda name: libc)
+        model = experiments.build_model(40)
+        for t in range(3):
+            graphs.diameter(model.threshold_draw(SeededRng(7, t), 0.3))
         assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
     @pytest.mark.parametrize("error", [OSError, AttributeError, TypeError])
     def test_a_library_without_mallopt_is_left_alone(self, monkeypatch, error):
         expected = run_sweep(parse_config(BASIC)).csv_text
+        samplers._pin_heap_thresholds.cache_clear()
 
         def cdll(name):
             raise error("no mallopt")
 
-        monkeypatch.setattr(experiments.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(samplers.ctypes, "CDLL", cdll)
         assert run_sweep(parse_config(BASIC)).csv_text == expected
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -24,6 +25,7 @@ from brutes import (
 )
 from simplexgraphs import (
     CapacityError,
+    CostMatrix,
     DensityModel,
     EdgeSpace,
     SeededRng,
@@ -32,6 +34,7 @@ from simplexgraphs import (
     bipartite_perfect_matching,
     components,
     diameter,
+    held_karp,
     is_connected,
     is_hamiltonian,
     mst_weight,
@@ -614,7 +617,7 @@ class TestHamiltonian:
         assert not is_hamiltonian(g)
 
     def test_two_disjoint_triangles(self):
-        # minimum degree 2 and no articulation point in vertex 0's component, but disconnected
+        # minimum degree 2 and no cut vertex inside either triangle, but disconnected
         g = ThresholdGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert not is_hamiltonian(g)
 
@@ -622,6 +625,27 @@ class TestHamiltonian:
         # K_{2,3} is connected with min degree 2 but not Hamiltonian
         g = ThresholdGraph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
         assert not is_hamiltonian(g)
+
+    def test_two_cliques_sharing_a_vertex_are_refused_fast(self):
+        # two K_10 on [0, 10) and [9, 19): minimum degree 9 and connected, but vertex 9
+        # cuts them.  The cut-vertex guard answers in well under a millisecond; the
+        # backtracking search alone takes seconds on this graph
+        edges = [(i, j) for i in range(19) for j in range(i + 1, 19) if j < 10 or i >= 9]
+        g = ThresholdGraph.from_edges(19, edges)
+        start = time.perf_counter()
+        assert not is_hamiltonian(g)
+        assert time.perf_counter() - start < 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(9, 13), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_property_against_held_karp(self, n, density, seed):
+        # a Hamilton cycle is a tour of cost 0 when each edge costs 0 and each non-edge 1
+        rng = np.random.default_rng(seed)
+        adj = np.triu(rng.random((n, n)) < density, 1)
+        adj |= adj.T
+        costs = np.where(adj, 0.0, 1.0)
+        np.fill_diagonal(costs, np.inf)
+        assert is_hamiltonian(graph_from_adj(adj)) == (held_karp(CostMatrix(costs))[0] == 0.0)
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):

@@ -329,14 +329,15 @@ class TestMstSeries:
 
     def test_one_count_past_the_chunk(self):
         # unit factors: sum_k prod_{j<k} (1 - j/n) / k^3; 70,001 count vectors run in two
-        # chunks.  log C(n, k) differences of lgamma values near n log n lose about
-        # n log n 2^-53 ~ 1e-10 relative, so the tolerance is 1e-9
+        # chunks.  log C(n, k) is a running sum of log(n - j), so the terms that carry
+        # the sum (small k) keep full precision: within 1e-13, where a difference of
+        # lgamma values near n log n would lose about n log n 2^-53 ~ 1e-10
         n = 70_000
         terms, falling = [], 1.0
         for k in range(1, 4000):  # the term at k = 4000 is below 1e-60
             falling *= (n - k + 1) / n
             terms.append(falling / k**3)
-        assert mst_series(DecomposableWeights(np.ones(n))) == pytest.approx(math.fsum(terms), rel=1e-9)
+        assert mst_series(DecomposableWeights(np.ones(n))) == pytest.approx(math.fsum(terms), rel=1e-13)
 
     def test_cap_is_on_the_vector_count(self, monkeypatch):
         # ones(n) has n + 1 count vectors, the zero vector among them
